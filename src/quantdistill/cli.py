@@ -26,7 +26,6 @@ from .quantize import UniformCubeSampler
 from .transport import rate_scan, w2_discrete
 
 SEED_ENV = "QUANTDISTILL_SEED"
-RATE_SCAN_FORMAT = "quantdistill.rate_scan"
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -154,8 +153,8 @@ def cmd_rate_scan(args) -> int:
     print(f"fitted slope {scan.fitted_slope:.6g} (expected {expected:.6g})")
     if args.out is not None:
         doc = {
-            "format": RATE_SCAN_FORMAT,
-            "version": latentio.DOCUMENT_VERSION,
+            "format": latentio.RATE_SCAN_FORMAT,
+            "format_version": latentio.DOCUMENT_VERSION,
             "seed": seed,
             "dim": args.dim,
             "samples": args.samples,
@@ -164,8 +163,7 @@ def cmd_rate_scan(args) -> int:
             "errors": [float(e) for e in scan.errors],
             "fitted_slope": float(scan.fitted_slope),
         }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(latentio.render_json(doc) + "\n")
+        latentio._write_document(args.out, doc)
         print(f"wrote {args.out}")
     return 0
 
@@ -180,15 +178,14 @@ def cmd_verify(args) -> int:
     if args.out is not None:
         doc = {
             "format": latentio.VERIFICATION_FORMAT,
-            "version": latentio.DOCUMENT_VERSION,
+            "format_version": latentio.DOCUMENT_VERSION,
             "suite": args.suite,
             "seed": seed,
             "n_checks": len(records),
             "n_passed": int(n_passed),
             "checks": [record.to_document() for record in records],
         }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(latentio.render_json(doc) + "\n")
+        latentio._write_document(args.out, doc)
     return 0 if n_passed == len(records) else 1
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp, softmax
 
 from .errors import DimensionError, InvalidSpec, InvalidTime
-from .measures import DiscreteMeasure, project_to_grid, quadratic_distortion
+from .measures import DiscreteMeasure, project_to_grid, squared_distances
 from .quantize import EmpiricalSampler, as_generator, init_grid, lloyd
 from .transport import w2_discrete
 
@@ -113,8 +113,7 @@ def _mixture_logits(ref: ReferenceLaw, scale: float, var: float, x: np.ndarray):
     means = scale * ref.base.atoms
     with np.errstate(divide="ignore"):
         log_w = np.log(ref.base.weights)
-    diff = x[:, None, :] - means[None, :, :]
-    sq = np.einsum("nmd,nmd->nm", diff, diff)
+    sq = squared_distances(x, means)
     return log_w[None, :] - sq / (2.0 * var), means
 
 
@@ -349,106 +348,3 @@ def transport_quantization(
         ref, sde, mu_end, quantized, test_fn, seed_mu, seed_nu
     )
     return nu_out, report
-
-
-@dataclass(frozen=True)
-class CorollaryScan:
-    """Quantization level against horizon Wasserstein error and observed gap."""
-
-    levels: np.ndarray
-    w2_values: np.ndarray
-    lhs_values: np.ndarray
-    slope: float
-    reports: tuple[BoundReport, ...]
-
-
-def corollary_rate_check(
-    ref: ReferenceLaw,
-    sde: SdeSpec,
-    levels,
-    test_fn,
-    n_mc: int,
-    seed,
-    *,
-    n_restarts: int = 3,
-) -> CorollaryScan:
-    """Track the stability bound as the quantizer grows.
-
-    One horizon sample cloud serves every level; each level fits its best
-    quantizer among spread-seeded Lloyd runs plus the previous winner
-    augmented at worst-served atoms, so the Wasserstein errors never
-    increase. ``slope`` is the log-log slope of those errors against the
-    level; each level also gets a full bound report with its own transport
-    noise.
-    """
-    levels = np.asarray(levels, dtype=np.intp)
-    if levels.ndim != 1 or levels.shape[0] < 2:
-        raise ValueError("levels must contain at least two sizes")
-    if np.any(levels < 1) or np.any(np.diff(levels) <= 0):
-        raise ValueError("levels must be strictly increasing and positive")
-    from .measures import QuantizationGrid
-    from .transport import _augment_grid
-
-    seeds = _spawn(seed, 3 + levels.shape[0])
-    mu_end = forward_marginal(ref, sde, sde.horizon, n_mc, seeds[0])
-    quant_rng = as_generator(seeds[1])
-    mu_out = reverse_integrate(mu_end, ref, sde, seeds[2])
-    f_mu = np.asarray(test_fn(mu_out.atoms), dtype=np.float64)
-    mu_expect = float(np.dot(mu_out.weights, f_mu))
-    mu_stderr = _weighted_stderr(f_mu, mu_out.weights)
-    constant = explicit_constant(sde, ref.support_radius)
-    lip = float(test_fn.lipschitz_bound)
-    w2_values = np.empty(levels.shape[0])
-    lhs_values = np.empty(levels.shape[0])
-    reports = []
-    best_grid = None
-    for li, k in enumerate(levels):
-        candidates = [
-            init_grid(mu_end, int(k), "dsquared", quant_rng) for _ in range(n_restarts)
-        ]
-        if best_grid is not None:
-            grown = _augment_grid(
-                mu_end.atoms, best_grid.centroids, int(k) - best_grid.n_centroids
-            )
-            if grown is not None:
-                candidates.append(QuantizationGrid(grown))
-        best = None
-        for candidate in candidates:
-            refined = lloyd(mu_end, candidate)
-            distortion = quadratic_distortion(mu_end, refined)
-            if best is None or distortion < best[0]:
-                best = (distortion, refined)
-        best_grid = best[1]
-        nu_end = project_to_grid(mu_end, best_grid)
-        w2 = float(np.sqrt(best[0]))
-        nu_out = reverse_integrate(nu_end, ref, sde, seeds[3 + li])
-        f_nu = np.asarray(test_fn(nu_out.atoms), dtype=np.float64)
-        lhs = abs(mu_expect - float(np.dot(nu_out.weights, f_nu)))
-        stderr = float(
-            np.sqrt(mu_stderr**2 + _weighted_stderr(f_nu, nu_out.weights) ** 2)
-        )
-        rhs = constant * lip * w2
-        if rhs > 0:
-            ratio = lhs / rhs
-        else:
-            ratio = 0.0 if lhs == 0 else float("inf")
-        reports.append(
-            BoundReport(
-                lhs=lhs,
-                rhs=rhs,
-                mc_stderr=stderr,
-                ratio=ratio,
-                passed=lhs <= rhs + STDERR_SIGMAS * stderr,
-                wasserstein=w2,
-                constant=constant,
-                lipschitz_bound=lip,
-            )
-        )
-        w2_values[li] = w2
-        lhs_values[li] = lhs
-    if np.any(w2_values <= 0):
-        raise ValueError("zero quantization error; slope is undefined at this scale")
-    slope = float(
-        np.polyfit(np.log(levels.astype(np.float64)), np.log(w2_values), 1)[0]
-    )
-    return CorollaryScan(levels, w2_values, lhs_values, slope, tuple(reports))

@@ -7,12 +7,14 @@ payload; the declared counts must match the payload exactly. Files named
 one nonnegative integer per line and must cover a contiguous range starting
 at 0. Pipeline documents are JSON with every float rendered at 17
 significant digits, which round-trips binary64 exactly and makes reruns
-byte-identical.
+byte-identical. Every writer renames a finished temporary file over its
+target, so an interrupted run leaves either the old file or the new one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +38,7 @@ DISTILLATION_FORMAT = "quantdistill.distillation"
 TRANSPORTED_FORMAT = "quantdistill.transported"
 TRAIN_REPORT_FORMAT = "quantdistill.train_report"
 VERIFICATION_FORMAT = "quantdistill.verification"
+RATE_SCAN_FORMAT = "quantdistill.rate_scan"
 
 
 def format_float(x: float) -> str:
@@ -87,6 +90,18 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
+def _write_atomically(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_latents(path, points) -> None:
     """Write a point cloud in the binary format, or CSV for ``*.csv`` paths."""
     path = Path(path)
@@ -99,7 +114,7 @@ def save_latents(path, points) -> None:
         header = ",".join(f"dim{i}" for i in range(arr.shape[1]))
         lines = [header]
         lines.extend(",".join(format_float(v) for v in row) for row in arr)
-        path.write_text("\n".join(lines) + "\n")
+        _write_atomically(path, ("\n".join(lines) + "\n").encode())
         return
     payload = (
         MAGIC
@@ -108,7 +123,7 @@ def save_latents(path, points) -> None:
         + struct.pack("<Q", arr.shape[1])
         + arr.astype("<f8").tobytes(order="C")
     )
-    path.write_bytes(payload)
+    _write_atomically(path, payload)
 
 
 def _load_latents_csv(path: Path) -> np.ndarray:
@@ -187,7 +202,7 @@ def save_labels(path, labels) -> None:
         raise ValueError("labels must be a 1-d integer array")
     if np.any(labels < 0):
         raise ValueError("labels must be nonnegative")
-    Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
+    _write_atomically(path, ("\n".join(str(int(v)) for v in labels) + "\n").encode())
 
 
 def load_labels(path, n_expected: int | None = None) -> np.ndarray:
@@ -437,7 +452,7 @@ class TrainReport:
 
 
 def _write_document(path, doc: dict) -> None:
-    Path(path).write_text(render_json(doc) + "\n")
+    _write_atomically(path, (render_json(doc) + "\n").encode())
 
 
 def _read_document(path, expected_format: str) -> dict:

@@ -23,6 +23,7 @@ from .errors import (
     EmptyCluster,
     InsufficientPoints,
     InvalidSchedule,
+    QuantDistillError,
 )
 from .measures import (
     DiscreteMeasure,
@@ -414,7 +415,8 @@ class LloydInfo:
     """Diagnostics from a Lloyd run.
 
     ``distortion_history[0]`` is the starting distortion and each later entry
-    follows one update; the sequence never increases. ``empty_cells_resolved``
+    follows one update; the sequence never increases, and its last entry is
+    the distortion of the returned grid. ``empty_cells_resolved``
     counts reseeded centroids across all iterations.
     """
 
@@ -424,9 +426,38 @@ class LloydInfo:
     empty_cells_resolved: int
 
 
-def _lloyd_distortion(atoms, weights, centroids) -> float:
-    d2 = squared_distances(atoms, centroids)
-    return float(np.dot(weights, d2.min(axis=1)))
+def _worst_served_atom(atoms: np.ndarray, centroids: np.ndarray) -> int:
+    """Index of the atom farthest from every centroid, ties to the lowest index.
+
+    Raises
+    ------
+    InsufficientPoints
+        If every atom already sits on a centroid.
+    """
+    dmin = squared_distances(atoms, centroids).min(axis=1)
+    worst = int(np.argmax(dmin))
+    if dmin[worst] <= 0.0:
+        raise InsufficientPoints(
+            "cannot place another centroid: every atom already sits on a centroid"
+        )
+    return worst
+
+
+def _augment_grid(
+    atoms: np.ndarray, centroids: np.ndarray, extra: int
+) -> np.ndarray | None:
+    """Add ``extra`` centroids at the currently worst-served atoms.
+
+    Returns None when the atoms run out before ``extra`` are placed.
+    """
+    grown = centroids
+    for _ in range(extra):
+        try:
+            worst = _worst_served_atom(atoms, grown)
+        except InsufficientPoints:
+            return None
+        grown = np.vstack([grown, atoms[worst]])
+    return grown
 
 
 def lloyd(
@@ -455,13 +486,15 @@ def lloyd(
     atoms, weights = mu.atoms, mu.weights
     x = init.centroids.copy()
     k = x.shape[0]
-    history = [_lloyd_distortion(atoms, weights, x)]
+    # The distances that score the current centroids also assign the atoms
+    # for the next update, so each iteration makes one distance pass.
+    d2 = squared_distances(atoms, x)
+    history = [float(np.dot(weights, d2.min(axis=1)))]
     resolved = 0
     converged = False
     iterations = 0
     for _ in range(max_iterations):
         iterations += 1
-        d2 = squared_distances(atoms, x)
         assign = np.argmin(d2, axis=1)
         mass = np.bincount(assign, weights=weights, minlength=k)
         new_x = x.copy()
@@ -470,18 +503,16 @@ def lloyd(
             sums = np.bincount(assign, weights=weights * atoms[:, axis], minlength=k)
             new_x[nonempty, axis] = sums[nonempty] / mass[nonempty]
         for j in np.flatnonzero(~nonempty):
-            dmin = squared_distances(atoms, new_x).min(axis=1)
-            worst = int(np.argmax(dmin))
-            if dmin[worst] <= 0.0:
-                raise InsufficientPoints(
-                    "cannot reseed an empty cell: every atom already sits on a centroid"
-                )
-            new_x[j] = atoms[worst]
+            new_x[j] = atoms[_worst_served_atom(atoms, new_x)]
             resolved += 1
         displacement = float(np.sqrt(((new_x - x) ** 2).sum(axis=1).max()))
         x = new_x
-        current = _lloyd_distortion(atoms, weights, x)
-        assert current <= history[-1] + 1e-12 * (1.0 + history[-1])
+        d2 = squared_distances(atoms, x)
+        current = float(np.dot(weights, d2.min(axis=1)))
+        if current > history[-1] + 1e-12 * (1.0 + history[-1]):
+            raise QuantDistillError(
+                f"Lloyd distortion rose from {history[-1]!r} to {current!r}"
+            )
         history.append(current)
         if displacement <= tol:
             converged = True

@@ -25,6 +25,7 @@ from .measures import (
     quadratic_distortion,
     squared_distances,
 )
+from .quantize import _augment_grid, as_generator, init_grid, lloyd
 
 
 @dataclass(frozen=True)
@@ -182,20 +183,6 @@ class RateScanResult:
     fitted_slope: float
 
 
-def _augment_grid(
-    atoms: np.ndarray, centroids: np.ndarray, extra: int
-) -> np.ndarray | None:
-    """Add ``extra`` centroids at the currently worst-served atoms."""
-    grown = centroids
-    for _ in range(extra):
-        dmin = squared_distances(atoms, grown).min(axis=1)
-        worst = int(np.argmax(dmin))
-        if dmin[worst] <= 0.0:
-            return None
-        grown = np.vstack([grown, atoms[worst]])
-    return grown
-
-
 def rate_scan(
     sampler,
     levels,
@@ -213,8 +200,6 @@ def rate_scan(
     sequence never increases. ``errors`` are root quantization errors and
     ``fitted_slope`` is the least-squares slope of log error against log K.
     """
-    from .quantize import as_generator, init_grid, lloyd
-
     levels = np.asarray(levels, dtype=np.intp)
     if levels.ndim != 1 or levels.shape[0] < 2:
         raise ValueError("levels must contain at least two grid sizes")
@@ -238,8 +223,8 @@ def rate_scan(
                 candidates.append(QuantizationGrid(grown))
         best = None
         for candidate in candidates:
-            refined = lloyd(mu, candidate)
-            distortion = quadratic_distortion(mu, refined)
+            refined, info = lloyd(mu, candidate, return_info=True)
+            distortion = info.distortion_history[-1]
             if best is None or distortion < best[0]:
                 best = (distortion, refined)
         errors[li] = np.sqrt(best[0])

@@ -6,8 +6,12 @@ tolerance, so ``pytest -v`` prints one pass/fail line per claim. The record
 lines themselves appear in the captured output on failure.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import quantdistill
 from quantdistill import cli, verification
 
 ACCEPTANCE_SEED = 0
@@ -45,3 +49,15 @@ def test_cli_verify_is_the_acceptance_surface(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
     assert "FAIL" not in out
+
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips asserts; internal guarantees must raise package errors.
+    package = Path(quantdistill.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -1,12 +1,14 @@
 """Tests for file formats, document round trips, and the command line."""
 
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quantdistill import cli, verification
+from quantdistill import cli, latentio, verification
 from quantdistill.diffusion import BoundReport, SdeSpec
 from quantdistill.errors import (
     BadMagic,
@@ -158,6 +160,36 @@ def test_labels_round_trip_and_validation(tmp_path):
     junk.write_text("0\nx\n")
     with pytest.raises(LatentFileError):
         load_labels(junk)
+
+
+def _write_half_then_fail(path, data):
+    with open(path, "wb") as handle:
+        handle.write(data[: len(data) // 2])
+    raise OSError("disk full")
+
+
+def _refuse_rename(src, dst):
+    raise OSError("rename refused")
+
+
+@pytest.mark.parametrize("failure", ["write", "rename"])
+@pytest.mark.parametrize("writer", ["latents", "labels", "document"])
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, failure, writer):
+    save = {
+        "latents": lambda path: save_latents(path, np.arange(6.0).reshape(3, 2)),
+        "labels": lambda path: save_labels(path, np.array([0, 1, 1])),
+        "document": lambda path: save_distillation(path, sample_distillation()),
+    }[writer]
+    target = tmp_path / "out.dat"
+    target.write_bytes(b"old contents")
+    if failure == "write":
+        monkeypatch.setattr(Path, "write_bytes", _write_half_then_fail)
+    else:
+        monkeypatch.setattr(os, "replace", _refuse_rename)
+    with pytest.raises(OSError):
+        save(target)
+    assert target.read_bytes() == b"old contents"
+    assert os.listdir(tmp_path) == ["out.dat"]
 
 
 def sample_distillation():
@@ -377,6 +409,8 @@ def test_cli_rate_scan_writes_document(tmp_path, capsys):
     assert status == 0
     assert "fitted slope" in capsys.readouterr().out
     doc = json.loads(out.read_text())
+    assert doc["format"] == latentio.RATE_SCAN_FORMAT
+    assert doc["format_version"] == latentio.DOCUMENT_VERSION
     assert doc["levels"] == [2, 4]
     assert doc["fitted_slope"] < 0
 
@@ -462,6 +496,8 @@ def test_cli_verify_reports_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "FAIL always_fails" in captured
     assert "0/1 checks passed" in captured
     doc = json.loads(out.read_text())
+    assert doc["format"] == latentio.VERIFICATION_FORMAT
+    assert doc["format_version"] == latentio.DOCUMENT_VERSION
     assert doc["n_passed"] == 0
     assert doc["checks"][0]["claim"] == "always_fails"
 

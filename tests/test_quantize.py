@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from quantdistill import quantize
 from quantdistill.errors import (
     DimensionError,
     EmptyCluster,
     InsufficientPoints,
     InvalidSchedule,
+    QuantDistillError,
 )
 from quantdistill.measures import (
     DiscreteMeasure,
@@ -213,6 +215,59 @@ def test_lloyd_never_increases_distortion_from_random_starts():
         _, info = lloyd(mu, init, return_info=True)
         history = info.distortion_history
         assert np.all(np.diff(history) <= 1e-12 * (1.0 + history[:-1]))
+
+
+LLOYD_CASES = {
+    "reseed": (np.array([[0.0], [1.0], [5.0]]), np.array([[0.5], [100.0]])),
+    "plain": (
+        np.random.default_rng(14).normal(size=(150, 2)),
+        np.random.default_rng(15).normal(size=(4, 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LLOYD_CASES))
+def test_lloyd_makes_one_distance_pass_per_iteration(monkeypatch, case):
+    atoms, start = LLOYD_CASES[case]
+    calls = []
+
+    def counted(points, centroids):
+        calls.append(1)
+        return squared_distances(points, centroids)
+
+    monkeypatch.setattr(quantize, "squared_distances", counted)
+    mu = DiscreteMeasure.uniform(atoms)
+    _, info = lloyd(mu, QuantizationGrid(start), return_info=True)
+    assert (case == "reseed") == (info.empty_cells_resolved > 0)
+    assert len(calls) == 1 + info.n_iterations + info.empty_cells_resolved
+
+
+@pytest.mark.parametrize("case", list(LLOYD_CASES))
+def test_lloyd_last_distortion_is_the_final_grids_distortion(case):
+    atoms, start = LLOYD_CASES[case]
+    mu = DiscreteMeasure.uniform(atoms)
+    grid, info = lloyd(mu, QuantizationGrid(start), return_info=True)
+    assert info.distortion_history[-1] == quadratic_distortion(mu, grid)
+
+
+def test_lloyd_raises_when_distortion_rises(monkeypatch):
+    calls = []
+
+    def inflating(points, centroids):
+        calls.append(1)
+        return squared_distances(points, centroids) * len(calls)
+
+    monkeypatch.setattr(quantize, "squared_distances", inflating)
+    atoms, start = LLOYD_CASES["plain"]
+    with pytest.raises(QuantDistillError, match="distortion rose"):
+        lloyd(DiscreteMeasure.uniform(atoms), QuantizationGrid(start))
+
+
+def test_worst_served_atom_needs_an_uncovered_atom():
+    atoms = np.array([[0.0], [1.0], [3.0]])
+    assert quantize._worst_served_atom(atoms, np.array([[0.0], [1.0]])) == 2
+    with pytest.raises(InsufficientPoints):
+        quantize._worst_served_atom(atoms, atoms)
 
 
 def test_variance_reduced_weights_formula():
