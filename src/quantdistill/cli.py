@@ -123,7 +123,7 @@ def cmd_w2(args) -> int:
     left = DiscreteMeasure.uniform(latentio.load_latents(args.left))
     right = DiscreteMeasure.uniform(latentio.load_latents(args.right))
     value, _ = w2_discrete(left, right)
-    print(latentio.format_float(value))
+    print(value)
     return 0
 
 
@@ -153,8 +153,6 @@ def cmd_rate_scan(args) -> int:
     print(f"fitted slope {scan.fitted_slope:.6g} (expected {expected:.6g})")
     if args.out is not None:
         doc = {
-            "format": latentio.RATE_SCAN_FORMAT,
-            "format_version": latentio.DOCUMENT_VERSION,
             "seed": seed,
             "dim": args.dim,
             "samples": args.samples,
@@ -163,7 +161,7 @@ def cmd_rate_scan(args) -> int:
             "errors": [float(e) for e in scan.errors],
             "fitted_slope": float(scan.fitted_slope),
         }
-        latentio._write_document(args.out, doc)
+        latentio.save_document(args.out, latentio.RATE_SCAN_FORMAT, doc)
         print(f"wrote {args.out}")
     return 0
 
@@ -177,15 +175,13 @@ def cmd_verify(args) -> int:
     print(f"{n_passed}/{len(records)} checks passed")
     if args.out is not None:
         doc = {
-            "format": latentio.VERIFICATION_FORMAT,
-            "format_version": latentio.DOCUMENT_VERSION,
             "suite": args.suite,
             "seed": seed,
             "n_checks": len(records),
             "n_passed": int(n_passed),
             "checks": [record.to_document() for record in records],
         }
-        latentio._write_document(args.out, doc)
+        latentio.save_document(args.out, latentio.VERIFICATION_FORMAT, doc)
     return 0 if n_passed == len(records) else 1
 
 

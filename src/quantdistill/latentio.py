@@ -5,10 +5,11 @@ row and column counts as little-endian u64, and the row-major float64
 payload; the declared counts must match the payload exactly. Files named
 ``*.csv`` use a text alternative with a ``dim0,dim1,...`` header. Labels are
 one nonnegative integer per line and must cover a contiguous range starting
-at 0. Pipeline documents are JSON with every float rendered at 17
-significant digits, which round-trips binary64 exactly and makes reruns
-byte-identical. Every writer renames a finished temporary file over its
-target, so an interrupted run leaves either the old file or the new one.
+at 0. Pipeline documents are one line of JSON whose floats are spelled in the
+shortest form that round-trips binary64 exactly, so reruns are byte-identical;
+older multi-line documents with 17-digit floats load to the same values. Every
+writer renames a finished temporary file over its target, so an interrupted
+run leaves either the old file or the new one.
 """
 
 from __future__ import annotations
@@ -41,53 +42,19 @@ VERIFICATION_FORMAT = "quantdistill.verification"
 RATE_SCAN_FORMAT = "quantdistill.rate_scan"
 
 
-def format_float(x: float) -> str:
-    """Render a float with 17 significant digits, round-tripping binary64."""
-    x = float(x)
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    s = format(x, ".17g")
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
-
-
-def render_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON text: stable key order, 17-digit floats."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, np.ndarray):
-        return render_json(obj.tolist(), indent)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k), ensure_ascii=True)}: {render_json(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in obj):
-            return "[" + ", ".join(render_json(v, indent + 1) for v in obj) + "]"
-        items = [f"{inner}{render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+def _json_default(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+
+
+def render_json(obj) -> str:
+    """One line of JSON, keys in insertion order, shortest round-trip floats.
+
+    NumPy arrays and scalars are written as their ``tolist()`` values;
+    non-finite floats use the ``NaN`` and ``Infinity`` tokens.
+    """
+    return json.dumps(obj, default=_json_default)
 
 
 def _write_atomically(path, data: bytes) -> None:
@@ -113,7 +80,7 @@ def save_latents(path, points) -> None:
     if path.suffix == ".csv":
         header = ",".join(f"dim{i}" for i in range(arr.shape[1]))
         lines = [header]
-        lines.extend(",".join(format_float(v) for v in row) for row in arr)
+        lines.extend(",".join(map(repr, row)) for row in arr.tolist())
         _write_atomically(path, ("\n".join(lines) + "\n").encode())
         return
     payload = (
@@ -127,11 +94,11 @@ def save_latents(path, points) -> None:
 
 
 def _load_latents_csv(path: Path) -> np.ndarray:
-    text = path.read_text()
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(n, line) for n, line in enumerate(path.read_text().splitlines(), 1)
+             if line.strip()]
     if not lines:
         raise EmptyFile(f"{path}: no content")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in lines[0][1].split(",")]
     expected = [f"dim{i}" for i in range(len(header))]
     if header != expected:
         raise BadMagic(f"{path}: header must be {','.join(expected)!r}")
@@ -139,18 +106,18 @@ def _load_latents_csv(path: Path) -> np.ndarray:
         raise EmptyFile(f"{path}: no data rows")
     dim = len(header)
     rows = np.empty((len(lines) - 1, dim))
-    for r, line in enumerate(lines[1:]):
+    for r, (number, line) in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != dim:
             raise TruncatedFile(
-                f"{path}: row {r + 1} has {len(parts)} values, header declares {dim}"
+                f"{path}: line {number} has {len(parts)} values, header declares {dim}"
             )
         for c, token in enumerate(parts):
             try:
                 rows[r, c] = float(token)
             except ValueError:
                 raise NonFiniteValue(
-                    f"{path}: row {r + 1} column {c} is not a number: {token.strip()!r}"
+                    f"{path}: line {number} column {c} is not a number: {token.strip()!r}"
                 ) from None
     if not np.all(np.isfinite(rows)):
         raise NonFiniteValue(f"{path}: NaN or infinite entries")
@@ -208,15 +175,16 @@ def save_labels(path, labels) -> None:
 def load_labels(path, n_expected: int | None = None) -> np.ndarray:
     """Read labels; validates count, sign, and label-range contiguity."""
     path = Path(path)
-    lines = [line.strip() for line in path.read_text().splitlines() if line.strip()]
+    lines = [(n, line.strip()) for n, line in enumerate(path.read_text().splitlines(), 1)
+             if line.strip()]
     if not lines:
         raise EmptyFile(f"{path}: no content")
     values = np.empty(len(lines), dtype=np.intp)
-    for i, line in enumerate(lines):
+    for i, (number, line) in enumerate(lines):
         try:
             values[i] = int(line)
         except ValueError:
-            raise LatentFileError(f"{path}: line {i + 1} is not an integer: {line!r}") from None
+            raise LatentFileError(f"{path}: line {number} is not an integer: {line!r}") from None
     if np.any(values < 0):
         raise LatentFileError(f"{path}: labels must be nonnegative")
     if n_expected is not None and values.shape[0] != n_expected:
@@ -283,8 +251,6 @@ class DistillationResult:
 
     def to_document(self) -> dict:
         return {
-            "format": DISTILLATION_FORMAT,
-            "format_version": DOCUMENT_VERSION,
             "seed": int(self.seed),
             "per_class": int(self.per_class),
             "dim": int(self.dim),
@@ -374,8 +340,6 @@ class TransportedResult:
 
     def to_document(self) -> dict:
         return {
-            "format": TRANSPORTED_FORMAT,
-            "format_version": DOCUMENT_VERSION,
             "seed": int(self.seed),
             "process": {
                 "kind": self.sde.kind,
@@ -422,8 +386,6 @@ class TrainReport:
 
     def to_document(self) -> dict:
         return {
-            "format": TRAIN_REPORT_FORMAT,
-            "format_version": DOCUMENT_VERSION,
             "seed": int(self.seed),
             "model": self.model,
             "weight_mode": self.weight_mode,
@@ -451,11 +413,20 @@ class TrainReport:
         )
 
 
-def _write_document(path, doc: dict) -> None:
+def save_document(path, fmt: str, body: dict) -> None:
+    """Write ``body`` after a ``format`` tag and ``format_version``, as one JSON line."""
+    doc = {"format": fmt, "format_version": DOCUMENT_VERSION, **body}
     _write_atomically(path, (render_json(doc) + "\n").encode())
 
 
-def _read_document(path, expected_format: str) -> dict:
+def load_document(path, fmt: str) -> dict:
+    """Read a document written by :func:`save_document` with the ``fmt`` tag.
+
+    Raises
+    ------
+    EmptyFile, LatentFileError, BadMagic
+        For a blank file, text that is not JSON, and a wrong tag or version.
+    """
     path = Path(path)
     text = path.read_text()
     if not text.strip():
@@ -464,19 +435,19 @@ def _read_document(path, expected_format: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LatentFileError(f"{path}: invalid JSON document: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != expected_format:
-        raise BadMagic(f"{path}: not a {expected_format} document")
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise BadMagic(f"{path}: not a {fmt} document")
     if doc.get("format_version") != DOCUMENT_VERSION:
         raise BadMagic(f"{path}: unsupported document version")
     return doc
 
 
 def save_distillation(path, result: DistillationResult) -> None:
-    _write_document(path, result.to_document())
+    save_document(path, DISTILLATION_FORMAT, result.to_document())
 
 
 def load_distillation(path) -> DistillationResult:
-    doc = _read_document(path, DISTILLATION_FORMAT)
+    doc = load_document(path, DISTILLATION_FORMAT)
     try:
         return DistillationResult.from_document(doc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -484,11 +455,11 @@ def load_distillation(path) -> DistillationResult:
 
 
 def save_transported(path, result: TransportedResult) -> None:
-    _write_document(path, result.to_document())
+    save_document(path, TRANSPORTED_FORMAT, result.to_document())
 
 
 def load_transported(path) -> TransportedResult:
-    doc = _read_document(path, TRANSPORTED_FORMAT)
+    doc = load_document(path, TRANSPORTED_FORMAT)
     try:
         return TransportedResult.from_document(doc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -496,11 +467,11 @@ def load_transported(path) -> TransportedResult:
 
 
 def save_train_report(path, report: TrainReport) -> None:
-    _write_document(path, report.to_document())
+    save_document(path, TRAIN_REPORT_FORMAT, report.to_document())
 
 
 def load_train_report(path) -> TrainReport:
-    doc = _read_document(path, TRAIN_REPORT_FORMAT)
+    doc = load_document(path, TRAIN_REPORT_FORMAT)
     try:
         return TrainReport.from_document(doc)
     except (KeyError, TypeError, ValueError) as exc:

@@ -383,9 +383,7 @@ def minibatch_kmeans(
     n_iterations: int,
     seed,
     *,
-    init: QuantizationGrid | None = None,
     init_strategy: str = "dsquared",
-    record_distortion: bool = False,
 ) -> WeightedQuantization:
     """Mini-batch k-means with per-centroid count-reciprocal steps.
 
@@ -403,9 +401,7 @@ def minibatch_kmeans(
         StepSchedule.count_reciprocal(),
         batch_size * n_iterations,
         seed,
-        init=init,
         init_strategy=init_strategy,
-        record_distortion=record_distortion,
     )
     return replace(result, weights=result.counts / result.counts.sum())
 
@@ -464,8 +460,6 @@ def lloyd(
     mu: DiscreteMeasure,
     init: QuantizationGrid,
     *,
-    max_iterations: int = LLOYD_DEFAULT_MAX_ITERATIONS,
-    tol: float = LLOYD_DEFAULT_TOL,
     return_info: bool = False,
 ):
     """Batch centroid refinement to a fixed point of the cell-mean map.
@@ -475,14 +469,12 @@ def lloyd(
     the atom currently farthest from every centroid, which strictly helps
     that atom and costs nothing elsewhere, so the distortion never increases
     (checked every iteration). Stops when the largest centroid displacement
-    is at most ``tol`` or after ``max_iterations``.
+    is at most ``LLOYD_DEFAULT_TOL`` or after ``LLOYD_DEFAULT_MAX_ITERATIONS``.
 
     Returns the final grid, or ``(grid, LloydInfo)`` when ``return_info``.
     """
     if mu.dim != init.dim:
         raise DimensionError(f"dimension mismatch: {mu.dim} vs {init.dim}")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be positive")
     atoms, weights = mu.atoms, mu.weights
     x = init.centroids.copy()
     k = x.shape[0]
@@ -493,7 +485,7 @@ def lloyd(
     resolved = 0
     converged = False
     iterations = 0
-    for _ in range(max_iterations):
+    for _ in range(LLOYD_DEFAULT_MAX_ITERATIONS):
         iterations += 1
         assign = np.argmin(d2, axis=1)
         mass = np.bincount(assign, weights=weights, minlength=k)
@@ -514,7 +506,7 @@ def lloyd(
                 f"Lloyd distortion rose from {history[-1]!r} to {current!r}"
             )
         history.append(current)
-        if displacement <= tol:
+        if displacement <= LLOYD_DEFAULT_TOL:
             converged = True
             break
     grid = QuantizationGrid(x)

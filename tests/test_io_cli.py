@@ -24,8 +24,8 @@ from quantdistill.latentio import (
     DistillationResult,
     TrainReport,
     TransportedResult,
-    format_float,
     load_distillation,
+    load_document,
     load_labels,
     load_latents,
     load_train_report,
@@ -41,17 +41,22 @@ from quantdistill.pipeline import demo_dataset, distill
 from quantdistill.verification import CheckRecord, CheckSpec
 
 
-def test_format_float_round_trips_and_special_values():
-    assert format_float(1.0) == "1.0"
-    assert format_float(-2.0) == "-2.0"
-    assert format_float(float("inf")) == "Infinity"
-    assert format_float(float("-inf")) == "-Infinity"
-    assert format_float(float("nan")) == "NaN"
+def test_render_json_round_trips_floats_and_special_values():
     rng = np.random.default_rng(50)
-    for value in np.concatenate(
-        [rng.normal(size=50), 10.0 ** rng.uniform(-300, 300, size=50)]
-    ):
-        assert float(format_float(value)) == value
+    values = np.concatenate(
+        [rng.normal(size=50), 10.0 ** rng.uniform(-300, 300, size=50), [5e-324, -0.0]]
+    )
+    text = render_json({"values": values, "scalar": values[0]})
+    assert "\n" not in text
+    parsed = json.loads(text)
+    assert np.asarray(parsed["values"]).tobytes() == values.tobytes()
+    assert parsed["scalar"] == values[0]
+    assert np.signbit(parsed["values"][-1])
+    assert render_json([1.0, -2.0, float("inf"), float("-inf"), float("nan")]) == (
+        "[1.0, -2.0, Infinity, -Infinity, NaN]"
+    )
+    with pytest.raises(TypeError):
+        render_json({"bad": object()})
 
 
 def test_render_json_is_parseable_and_stable():
@@ -67,7 +72,6 @@ def test_render_json_is_parseable_and_stable():
     parsed = json.loads(text)
     assert parsed["name"] == "demo"
     assert parsed["values"][2] == float("inf")
-    # Scalar lists stay on one line; nested lists break across lines.
     assert "[1.0, 2.5, Infinity]" in text
 
 
@@ -162,6 +166,20 @@ def test_labels_round_trip_and_validation(tmp_path):
         load_labels(junk)
 
 
+def test_load_labels_names_the_file_line_after_a_blank_line(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("0\n\n1\nx\n")
+    with pytest.raises(LatentFileError, match="line 4 is not an integer"):
+        load_labels(path)
+
+
+def test_load_latents_csv_names_the_file_line_after_a_blank_line(tmp_path):
+    path = tmp_path / "cloud.csv"
+    path.write_text("dim0,dim1\n1,2\n\n3,oops\n")
+    with pytest.raises(NonFiniteValue, match="line 4 column 1 is not a number"):
+        load_latents(path)
+
+
 def _write_half_then_fail(path, data):
     with open(path, "wb") as handle:
         handle.write(data[: len(data) // 2])
@@ -216,6 +234,53 @@ def test_distillation_document_round_trip(tmp_path):
     second = tmp_path / "again.json"
     save_distillation(second, loaded)
     assert second.read_bytes() == path.read_bytes()
+
+
+# A distillation document in the earlier layout: indented over many lines,
+# with every float spelled at 17 significant digits.
+MULTILINE_17_DIGIT_DISTILLATION = """{
+  "format": "quantdistill.distillation",
+  "format_version": 1,
+  "seed": 5,
+  "per_class": 2,
+  "dim": 2,
+  "schedule": "count_reciprocal",
+  "batch_size": 16,
+  "n_iterations": 10,
+  "init_strategy": "dsquared",
+  "classes": [
+    {
+      "label": 0,
+      "centroids": [
+        [0.10000000000000001, -0.0],
+        [0.33333333333333331, 2.5e-300]
+      ],
+      "counts": [3, 1],
+      "weights": [0.75, 0.25],
+      "variance_reduced": [1.2247448713915889, 0.70710678118654757]
+    }
+  ]
+}
+"""
+
+
+def test_multiline_17_digit_document_loads_like_its_new_rendering(tmp_path):
+    old = tmp_path / "old.json"
+    old.write_text(MULTILINE_17_DIGIT_DISTILLATION)
+    loaded = load_distillation(old)
+    new = tmp_path / "new.json"
+    save_distillation(new, loaded)
+    text = new.read_text()
+    assert text.count("\n") == 1 and "0.1," in text
+    assert json.loads(text) == json.loads(MULTILINE_17_DIGIT_DISTILLATION)
+    reloaded = load_distillation(new)
+    assert loaded.seed == reloaded.seed == 5
+    for before, after in zip(loaded.classes, reloaded.classes):
+        for name in ("centroids", "counts", "weights", "variance_reduced"):
+            assert getattr(before, name).tobytes() == getattr(after, name).tobytes()
+    centroids = reloaded.classes[0].centroids
+    np.testing.assert_array_equal(centroids, [[0.1, 0.0], [1 / 3, 2.5e-300]])
+    assert np.signbit(centroids[0, 1])
 
 
 def test_document_rejects_wrong_format_tag(tmp_path):
@@ -408,9 +473,7 @@ def test_cli_rate_scan_writes_document(tmp_path, capsys):
     )
     assert status == 0
     assert "fitted slope" in capsys.readouterr().out
-    doc = json.loads(out.read_text())
-    assert doc["format"] == latentio.RATE_SCAN_FORMAT
-    assert doc["format_version"] == latentio.DOCUMENT_VERSION
+    doc = load_document(out, latentio.RATE_SCAN_FORMAT)
     assert doc["levels"] == [2, 4]
     assert doc["fitted_slope"] < 0
 
@@ -495,9 +558,7 @@ def test_cli_verify_reports_failure_exit_code(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr().out
     assert "FAIL always_fails" in captured
     assert "0/1 checks passed" in captured
-    doc = json.loads(out.read_text())
-    assert doc["format"] == latentio.VERIFICATION_FORMAT
-    assert doc["format_version"] == latentio.DOCUMENT_VERSION
+    doc = load_document(out, latentio.VERIFICATION_FORMAT)
     assert doc["n_passed"] == 0
     assert doc["checks"][0]["claim"] == "always_fails"
 
