@@ -94,9 +94,11 @@ def cmd_train(args) -> int:
     seed = _resolve_seed(args.seed)
     result = latentio.load_distillation(args.distilled)
     eval_points = eval_labels = None
+    if args.eval_latents is not None and args.eval_labels is None:
+        raise ValueError("--eval-labels is required with --eval-latents")
+    if args.eval_labels is not None and args.eval_latents is None:
+        raise ValueError("--eval-latents is required with --eval-labels")
     if args.eval_latents is not None:
-        if args.eval_labels is None:
-            raise ValueError("--eval-labels is required with --eval-latents")
         eval_points, eval_labels = _load_cloud(args.eval_latents, args.eval_labels)
     _, report = pipeline.train(
         result,

@@ -186,12 +186,9 @@ def score_monotonicity_bound(sde: SdeSpec, radius: float, t: float) -> float:
     """
     if not (np.isfinite(radius) and radius >= 0):
         raise InvalidSpec("radius must be nonnegative and finite")
-    if not (np.isfinite(t) and 0 < t <= sde.horizon):
-        raise InvalidTime(f"t must lie in (0, {sde.horizon}], got {t!r}")
-    if sde.kind == BROWNIAN:
-        return radius * radius / (t * t) - 1.0 / t
-    var = float(-np.expm1(-t))
-    return radius * radius * float(np.exp(-t)) / (var * var) - 1.0 / var
+    _, var = _marginal_params(sde, t)
+    decay = 1.0 if sde.kind == BROWNIAN else float(np.exp(-t))
+    return radius * radius * decay / (var * var) - 1.0 / var
 
 
 def log_explicit_constant(sde: SdeSpec, radius: float) -> float:
@@ -204,14 +201,14 @@ def log_explicit_constant(sde: SdeSpec, radius: float) -> float:
     """
     if not (np.isfinite(radius) and radius >= 0):
         raise InvalidSpec("radius must be nonnegative and finite")
-    r2 = radius * radius
     t_hi, t_lo = sde.horizon, sde.early_stop
+    _, var_hi = _marginal_params(sde, t_hi)
+    _, var_lo = _marginal_params(sde, t_lo)
     if sde.kind == BROWNIAN:
-        return r2 * (1.0 / t_lo - 1.0 / t_hi) - np.log(t_hi / t_lo)
-    var_lo = float(-np.expm1(-t_lo))
-    var_hi = float(-np.expm1(-t_hi))
-    growth = float(np.log(np.expm1(t_hi)) - np.log(np.expm1(t_lo)))
-    return r2 * (1.0 / var_lo - 1.0 / var_hi) - growth
+        growth = np.log(t_hi / t_lo)
+    else:
+        growth = float(np.log(np.expm1(t_hi)) - np.log(np.expm1(t_lo)))
+    return radius * radius * (1.0 / var_lo - 1.0 / var_hi) - growth
 
 
 def explicit_constant(sde: SdeSpec, radius: float) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionError
 
 WEIGHT_SUM_TOL = 1e-12
+DISTANCE_BLOCK_BYTES = 1 << 22
 
 
 def as_point_array(values, name: str = "points") -> np.ndarray:
@@ -44,10 +45,15 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """All pairwise squared Euclidean distances, shape (n, K).
 
     Computed by direct differencing rather than the norm-expansion identity so
-    that exact ties in the inputs stay exact in the output.
+    that exact ties in the inputs stay exact in the output. Rows go in blocks
+    of about ``DISTANCE_BLOCK_BYTES`` of differences, which change no entry.
     """
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    out = np.empty((points.shape[0], centroids.shape[0]))
+    rows = max(1, DISTANCE_BLOCK_BYTES // max(1, centroids.nbytes))
+    for lo in range(0, points.shape[0], rows):
+        diff = np.subtract(points[lo:lo + rows, None, :], centroids[None], order="C")
+        np.einsum("nkd,nkd->nk", diff, diff, out=out[lo:lo + rows])
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,24 @@ def nearest_index(point, grid: QuantizationGrid) -> int:
     return int(np.argmin(d2))
 
 
+def cell_means(
+    atoms: np.ndarray, weights: np.ndarray, assignment: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mass and weighted mean of each of ``k`` cells under an assignment.
+
+    Returns ``(mass, means)`` with shapes (k,) and (k, d); rows of ``means``
+    for empty cells are NaN. Sums run in ascending atom-index order, so
+    results are bitwise reproducible.
+    """
+    mass = np.bincount(assignment, weights=weights, minlength=k)
+    means = np.full((k, atoms.shape[1]), np.nan)
+    nonempty = mass > 0
+    for axis in range(atoms.shape[1]):
+        sums = np.bincount(assignment, weights=weights * atoms[:, axis], minlength=k)
+        means[nonempty, axis] = sums[nonempty] / mass[nonempty]
+    return mass, means
+
+
 def voronoi_partition(mu: DiscreteMeasure, grid: QuantizationGrid) -> VoronoiPartition:
     """Assign every atom of ``mu`` to its nearest centroid of ``grid``.
 
@@ -176,15 +200,9 @@ def voronoi_partition(mu: DiscreteMeasure, grid: QuantizationGrid) -> VoronoiPar
     _check_same_dim(mu.dim, grid.dim)
     d2 = squared_distances(mu.atoms, grid.centroids)
     assignment = np.argmin(d2, axis=1)
-    k = grid.n_centroids
-    cell_mass = np.bincount(assignment, weights=mu.weights, minlength=k)
-    weighted = mu.atoms * mu.weights[:, None]
-    sums = np.empty((k, mu.dim))
-    for axis in range(mu.dim):
-        sums[:, axis] = np.bincount(assignment, weights=weighted[:, axis], minlength=k)
-    cell_centroid = np.full((k, mu.dim), np.nan)
-    nonempty = cell_mass > 0
-    cell_centroid[nonempty] = sums[nonempty] / cell_mass[nonempty, None]
+    cell_mass, cell_centroid = cell_means(
+        mu.atoms, mu.weights, assignment, grid.n_centroids
+    )
     return VoronoiPartition(assignment, cell_mass, cell_centroid)
 
 

@@ -20,10 +20,9 @@ from .latentio import (
 )
 from .measures import DiscreteMeasure
 from .quantize import (
+    EmpiricalSampler,
     StepSchedule,
     clvq,
-    EmpiricalSampler,
-    minibatch_kmeans,
     variance_reduced_weights,
 )
 from .risk import (
@@ -75,10 +74,10 @@ def distill(
 ) -> DistillationResult:
     """Quantize each class of a labeled cloud into weighted centroids.
 
-    Runs mini-batch k-means (or the online learner with a harmonic schedule
-    when ``schedule="harmonic"``) per class under its own sub-seed and
-    records centroids, raw win counts, simplex weights, and the square-root
-    variance-reduced weights.
+    Runs the online learner for ``batch_size * n_iterations`` steps per class
+    under its own sub-seed and the given step schedule (count-reciprocal
+    steps make it mini-batch k-means), and records centroids, raw win
+    counts, simplex weights, and the square-root variance-reduced weights.
 
     Raises
     ------
@@ -91,29 +90,21 @@ def distill(
     points = np.ascontiguousarray(points, dtype=np.float64)
     if schedule not in ("count_reciprocal", "harmonic"):
         raise ValueError(f"unknown schedule {schedule!r}")
+    if batch_size < 1 or n_iterations < 1:
+        raise ValueError("batch_size and n_iterations must be positive")
     classes = []
     for label, class_points in _split_by_class(points, labels):
         sub = class_subseed(seed, label)
         mu = DiscreteMeasure.uniform(class_points)
         try:
-            if schedule == "count_reciprocal":
-                result = minibatch_kmeans(
-                    mu,
-                    per_class,
-                    batch_size,
-                    n_iterations,
-                    sub,
-                    init_strategy=init_strategy,
-                )
-            else:
-                result = clvq(
-                    EmpiricalSampler(mu),
-                    per_class,
-                    StepSchedule.harmonic(),
-                    batch_size * n_iterations,
-                    sub,
-                    init_strategy=init_strategy,
-                )
+            result = clvq(
+                EmpiricalSampler(mu),
+                per_class,
+                StepSchedule(schedule),
+                batch_size * n_iterations,
+                sub,
+                init_strategy=init_strategy,
+            )
             reduced = variance_reduced_weights(result.counts)
         except (InsufficientPoints, EmptyCluster) as exc:
             raise type(exc)(f"class {label}: {exc}") from None

@@ -1,11 +1,11 @@
 """Weighted vector quantization: online competitive learning and Lloyd refinement.
 
 The online learner processes one sample per step: the nearest centroid (the
-winner) moves toward the sample by the current step size, a companion weight
-vector tracks each centroid's share of wins through the same averaging, and a
-visit counter records raw win totals. With the count-reciprocal schedule the
-exact same loop is classical mini-batch k-means, so both entry points share
-one code path and agree bit for bit under a common seed.
+winner) moves toward the sample by the current step size and a visit counter
+records raw win totals. Under the harmonic schedule a companion weight vector
+tracks each centroid's share of wins through the same averaging; under the
+count-reciprocal schedule, which makes the loop classical mini-batch k-means,
+the weights are the win shares ``counts / n_steps``.
 
 Lloyd refinement is the batch counterpart: each centroid jumps to the weighted
 mean of its cell until centroids stop moving. Empty cells are reseeded at the
@@ -14,12 +14,11 @@ currently worst-served atom, which never increases the distortion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DimensionError,
     EmptyCluster,
     InsufficientPoints,
     InvalidSchedule,
@@ -28,7 +27,9 @@ from .errors import (
 from .measures import (
     DiscreteMeasure,
     QuantizationGrid,
+    _check_same_dim,
     as_point_array,
+    cell_means,
     squared_distances,
 )
 
@@ -183,9 +184,10 @@ class WeightedQuantization:
     counts : ndarray, shape (K,)
         Raw win totals per centroid; they sum to the number of steps.
     weights : ndarray, shape (K,)
-        Companion weights in the probability simplex (within accumulated
-        rounding drift). The online learner reports its running weight
-        average; the k-means entry point reports normalized counts.
+        Voronoi cell-mass estimates in the probability simplex: the running
+        companion average under the harmonic schedule, ``counts / n_steps``
+        under the count-reciprocal one (its per-centroid steps do not
+        average the wins).
     winner_sq_dists : ndarray or None
         Per-step squared distance from the sample to the winner, measured
         before the winner moved. Present only when recording was requested.
@@ -297,8 +299,7 @@ def _competitive_loop(samples, x0, schedule: StepSchedule, record: bool):
     v = np.zeros(k)
     n = samples.shape[0]
     trace = np.empty(n) if record else None
-    count_mode = schedule.kind == "count_reciprocal"
-    a, b = schedule.a, schedule.b
+    harmonic = schedule.kind == "harmonic"
     for i in range(n):
         s = samples[i]
         diff = x - s
@@ -307,11 +308,12 @@ def _competitive_loop(samples, x0, schedule: StepSchedule, record: bool):
         if record:
             trace[i] = d2[win]
         v[win] += 1.0
-        g = 1.0 / v[win] if count_mode else a / (b + i + 1.0)
+        g = schedule.step(i) if harmonic else 1.0 / v[win]
         x[win] = (1.0 - g) * x[win] + g * s
-        w *= 1.0 - g
-        w[win] += g
-    return x, v, w, trace
+        if harmonic:
+            w *= 1.0 - g
+            w[win] += g
+    return x, v, (w if harmonic else v / n), trace
 
 
 def clvq(
@@ -325,14 +327,14 @@ def clvq(
     init_strategy: str = "dsquared",
     record_distortion: bool = False,
 ) -> WeightedQuantization:
-    """Online competitive learning with companion weights.
+    """Online competitive learning with cell-mass weights.
 
     Each step draws one sample, finds the nearest centroid (ties to the
     lowest index), records that centroid's squared distance if requested,
-    then moves only the winner toward the sample by the schedule's step and
-    refreshes the companion weights by the same convex averaging. Centroids
-    therefore never leave the convex hull of the initial grid and the
-    samples.
+    then moves only the winner toward the sample by the schedule's step, so
+    centroids never leave the convex hull of the initial grid and the
+    samples. Harmonic steps refresh the companion weights by the same convex
+    averaging; count-reciprocal runs report ``counts / n_steps`` instead.
 
     Parameters
     ----------
@@ -354,7 +356,7 @@ def clvq(
     Raises
     ------
     InvalidSchedule
-        If the schedule would emit a step outside (0, 1].
+        If ``schedule`` is not a ``StepSchedule``.
     DimensionError
         If ``init`` and the sampler disagree on dimension.
     """
@@ -362,13 +364,10 @@ def clvq(
         raise ValueError("n_steps must be positive")
     if not isinstance(schedule, StepSchedule):
         raise InvalidSchedule("schedule must be a StepSchedule")
-    if schedule.kind == "harmonic" and not 0.0 < schedule.step(0) <= 1.0:
-        raise InvalidSchedule("first harmonic step falls outside (0, 1]")
     rng = as_generator(seed)
     if init is None:
         init = init_grid(sampler, n_centroids, init_strategy, rng)
-    if init.dim != sampler.dim:
-        raise DimensionError(f"dimension mismatch: {init.dim} vs {sampler.dim}")
+    _check_same_dim(init.dim, sampler.dim)
     if init.n_centroids != n_centroids:
         raise ValueError("init grid size must equal n_centroids")
     samples = sampler.draw(rng, n_steps)
@@ -387,15 +386,14 @@ def minibatch_kmeans(
 ) -> WeightedQuantization:
     """Mini-batch k-means with per-centroid count-reciprocal steps.
 
-    Presents ``batch_size * n_iterations`` weighted draws from ``data`` to the
-    same sequential loop as the online learner under the count-reciprocal
-    schedule, so grids and counts agree with a same-seed online run bit for
-    bit. Reported weights are the win counts normalized by the total number
-    of steps.
+    The online learner under the count-reciprocal schedule, fed
+    ``batch_size * n_iterations`` sequential weighted draws from ``data``, so
+    its result equals a same-seed ``clvq`` run bit for bit, weights
+    (``counts / n_steps``) included.
     """
     if batch_size < 1 or n_iterations < 1:
         raise ValueError("batch_size and n_iterations must be positive")
-    result = clvq(
+    return clvq(
         EmpiricalSampler(data),
         n_centroids,
         StepSchedule.count_reciprocal(),
@@ -403,7 +401,6 @@ def minibatch_kmeans(
         seed,
         init_strategy=init_strategy,
     )
-    return replace(result, weights=result.counts / result.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -473,8 +470,7 @@ def lloyd(
 
     Returns the final grid, or ``(grid, LloydInfo)`` when ``return_info``.
     """
-    if mu.dim != init.dim:
-        raise DimensionError(f"dimension mismatch: {mu.dim} vs {init.dim}")
+    _check_same_dim(mu.dim, init.dim)
     atoms, weights = mu.atoms, mu.weights
     x = init.centroids.copy()
     k = x.shape[0]
@@ -483,17 +479,10 @@ def lloyd(
     d2 = squared_distances(atoms, x)
     history = [float(np.dot(weights, d2.min(axis=1)))]
     resolved = 0
-    converged = False
-    iterations = 0
     for _ in range(LLOYD_DEFAULT_MAX_ITERATIONS):
-        iterations += 1
-        assign = np.argmin(d2, axis=1)
-        mass = np.bincount(assign, weights=weights, minlength=k)
-        new_x = x.copy()
+        mass, means = cell_means(atoms, weights, np.argmin(d2, axis=1), k)
         nonempty = mass > 0
-        for axis in range(atoms.shape[1]):
-            sums = np.bincount(assign, weights=weights * atoms[:, axis], minlength=k)
-            new_x[nonempty, axis] = sums[nonempty] / mass[nonempty]
+        new_x = np.where(nonempty[:, None], means, x)
         for j in np.flatnonzero(~nonempty):
             new_x[j] = atoms[_worst_served_atom(atoms, new_x)]
             resolved += 1
@@ -507,13 +496,24 @@ def lloyd(
             )
         history.append(current)
         if displacement <= LLOYD_DEFAULT_TOL:
-            converged = True
             break
     grid = QuantizationGrid(x)
     if not return_info:
         return grid
-    info = LloydInfo(iterations, converged, np.asarray(history), resolved)
+    converged = displacement <= LLOYD_DEFAULT_TOL
+    info = LloydInfo(len(history) - 1, converged, np.asarray(history), resolved)
     return grid, info
+
+
+def best_lloyd(mu: DiscreteMeasure, starts) -> tuple[float, QuantizationGrid]:
+    """Refine every start with ``lloyd`` and keep the lowest final distortion.
+
+    Returns ``(distortion, grid)``; ties go to the earliest start, and an
+    empty ``starts`` raises ValueError.
+    """
+    fits = [lloyd(mu, start, return_info=True) for start in starts]
+    grid, info = min(fits, key=lambda fit: fit[1].distortion_history[-1])
+    return float(info.distortion_history[-1]), grid
 
 
 def variance_reduced_weights(counts) -> np.ndarray:

@@ -25,7 +25,7 @@ from .measures import (
     quadratic_distortion,
     squared_distances,
 )
-from .quantize import _augment_grid, as_generator, init_grid, lloyd
+from .quantize import _augment_grid, as_generator, best_lloyd, init_grid
 
 
 @dataclass(frozen=True)
@@ -221,14 +221,8 @@ def rate_scan(
             )
             if grown is not None:
                 candidates.append(QuantizationGrid(grown))
-        best = None
-        for candidate in candidates:
-            refined, info = lloyd(mu, candidate, return_info=True)
-            distortion = info.distortion_history[-1]
-            if best is None or distortion < best[0]:
-                best = (distortion, refined)
-        errors[li] = np.sqrt(best[0])
-        best_grid = best[1]
+        distortion, best_grid = best_lloyd(mu, candidates)
+        errors[li] = np.sqrt(distortion)
     if np.any(errors <= 0.0):
         raise ValueError("zero quantization error; slope is undefined at this scale")
     slope = float(np.polyfit(np.log(levels.astype(np.float64)), np.log(errors), 1)[0])

@@ -44,6 +44,7 @@ from .quantize import (
     GaussianMixtureSampler,
     StepSchedule,
     UniformCubeSampler,
+    best_lloyd,
     clvq,
     empirical_distortion_trace,
     init_grid,
@@ -187,10 +188,7 @@ def check_interval_quantizer_error(seed: int) -> list[CheckRecord]:
     mu = DiscreteMeasure.uniform(rng.random((20000, 1)))
     worst = 0.0
     for k in (1, 2, 4):
-        best = np.inf
-        for _ in range(5):
-            grid = lloyd(mu, init_grid(mu, k, "dsquared", rng))
-            best = min(best, quadratic_distortion(mu, grid))
+        best, _ = best_lloyd(mu, [init_grid(mu, k, "dsquared", rng) for _ in range(5)])
         target = 1.0 / (12.0 * k * k)
         worst = max(worst, abs(best - target) / target)
     return [
@@ -528,13 +526,8 @@ def check_weighting_reduction(seed: int) -> list[CheckRecord]:
     for rep in range(10):
         rng = np.random.default_rng(_sub(seed, 11, rep))
         mu = _skewed_clusters(rng, 300)
-        best = None
-        for _ in range(3):
-            grid = lloyd(mu, init_grid(mu, 3, "dsquared", rng))
-            distortion = quadratic_distortion(mu, grid)
-            if best is None or distortion < best[0]:
-                best = (distortion, grid)
-        comparison = compare_weighting(mu, best[1])
+        _, grid = best_lloyd(mu, [init_grid(mu, 3, "dsquared", rng) for _ in range(3)])
+        comparison = compare_weighting(mu, grid)
         reductions.append(comparison.reduction_fraction)
         worst_excess = max(
             worst_excess, comparison.weighted_w2 - comparison.uniform_w2

@@ -448,6 +448,44 @@ def test_cli_diffuse_writes_reports(tmp_path, capsys):
     assert len(loaded.classes) == 2
 
 
+def test_cli_distill_rejects_negative_batch_settings(tmp_path, capsys):
+    latents, labels_path = write_demo_files(tmp_path)
+    out = tmp_path / "distilled.json"
+    for schedule in ("count_reciprocal", "harmonic"):
+        status = cli.main(
+            [
+                "distill",
+                "--latents", str(latents),
+                "--labels", str(labels_path),
+                "--ipc", "3",
+                "--schedule", schedule,
+                "--batch-size", "-2",
+                "--iterations", "-100",
+                "--out", str(out),
+            ]
+        )
+        assert status == 2
+        assert "batch_size and n_iterations" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_train_needs_both_eval_flags(tmp_path, capsys):
+    latents, labels_path = write_demo_files(tmp_path)
+    distilled = tmp_path / "distilled.json"
+    save_distillation(distilled, distill(*demo_dataset(0, n_per_class=40, n_classes=2), 3, 1))
+    report = tmp_path / "report.json"
+    for given, missing in (
+        (["--eval-labels", str(labels_path)], "--eval-latents"),
+        (["--eval-latents", str(latents)], "--eval-labels"),
+    ):
+        status = cli.main(
+            ["train", "--distilled", str(distilled), "--out", str(report)] + given
+        )
+        assert status == 2
+        assert f"{missing} is required" in capsys.readouterr().err
+        assert not report.exists()
+
+
 def test_cli_w2_prints_distance(tmp_path, capsys):
     left = tmp_path / "left.bin"
     right = tmp_path / "right.bin"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quantdistill import measures
 from quantdistill.errors import DimensionError
 from quantdistill.measures import (
     DiscreteMeasure,
@@ -37,6 +38,25 @@ def test_squared_distances_exact_tie_stays_exact():
     assert d2[0, 0] == d2[0, 1]
     grid = QuantizationGrid(centroids)
     assert nearest_index(points[0], grid) == 0
+
+
+@pytest.mark.parametrize("block_bytes", [1, 8 * 5 * 33 * 7, 1 << 22])
+def test_squared_distances_block_size_changes_no_entry(monkeypatch, block_bytes):
+    # One whole (n, K, d) differencing pass on C-ordered inputs is the
+    # reference; blocks of rows, and a Fortran-ordered input, give the same
+    # bits.
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(97, 33)) * 10.0
+    centroids = rng.normal(size=(5, 33)) * 10.0
+    centroids[2] = points[40]
+    diff = points[:, None, :] - centroids[None, :, :]
+    whole = np.einsum("nkd,nkd->nk", diff, diff)
+    monkeypatch.setattr(measures, "DISTANCE_BLOCK_BYTES", block_bytes)
+    for layout in (points, np.asfortranarray(points)):
+        d2 = squared_distances(layout, centroids)
+        assert d2.shape == whole.shape and d2.dtype == whole.dtype
+        assert d2.tobytes() == whole.tobytes()
+    assert d2[40, 2] == 0.0
 
 
 def test_measure_validates_weights():

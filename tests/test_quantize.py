@@ -18,12 +18,14 @@ from quantdistill.measures import (
     squared_distances,
     voronoi_partition,
 )
+from quantdistill.pipeline import class_subseed, demo_dataset, distill
 from quantdistill.quantize import (
     EmpiricalSampler,
     GaussianMixtureSampler,
     StepSchedule,
     UniformCubeSampler,
     WeightedQuantization,
+    best_lloyd,
     clvq,
     empirical_distortion_trace,
     init_grid,
@@ -171,7 +173,50 @@ def test_minibatch_kmeans_matches_online_run():
     batch = minibatch_kmeans(data, 3, 60, 10, 11)
     np.testing.assert_array_equal(online.grid.centroids, batch.grid.centroids)
     np.testing.assert_array_equal(online.counts, batch.counts)
+    np.testing.assert_array_equal(online.weights, batch.weights)
     np.testing.assert_allclose(batch.weights, batch.counts / 600.0)
+
+
+def test_count_reciprocal_weights_are_win_shares():
+    # Per-centroid steps do not average the wins, so the reported weights
+    # are the win shares, which recover a 70/30 split.
+    sampler = GaussianMixtureSampler([[-3.0], [3.0]], [0.01, 0.01], [0.7, 0.3])
+    result = clvq(sampler, 2, StepSchedule.count_reciprocal(), 4000, 0)
+    np.testing.assert_array_equal(result.weights, result.counts / 4000)
+    assert abs(result.weights[np.argmin(result.grid.centroids[:, 0])] - 0.7) < 0.03
+
+
+@pytest.mark.parametrize("schedule", ["count_reciprocal", "harmonic"])
+def test_distill_class_equals_direct_clvq_run(schedule):
+    points, labels = demo_dataset(3, n_per_class=60, n_classes=2)
+    result = distill(points, labels, 4, 7, schedule=schedule, batch_size=8, n_iterations=25)
+    for cls in result.classes:
+        direct = clvq(
+            EmpiricalSampler(DiscreteMeasure.uniform(points[labels == cls.label])),
+            4,
+            StepSchedule(schedule),
+            200,
+            class_subseed(7, cls.label),
+        )
+        np.testing.assert_array_equal(cls.centroids, direct.grid.centroids)
+        np.testing.assert_array_equal(cls.counts, direct.counts)
+        np.testing.assert_array_equal(cls.weights, direct.weights)
+
+
+@pytest.mark.parametrize("schedule", ["count_reciprocal", "harmonic"])
+@pytest.mark.parametrize("batch_size,n_iterations", [(-2, -100), (0, 10), (10, 0)])
+def test_distill_rejects_nonpositive_batch_settings(schedule, batch_size, n_iterations):
+    points, labels = demo_dataset(3, n_per_class=20, n_classes=2)
+    with pytest.raises(ValueError, match="batch_size and n_iterations"):
+        distill(
+            points,
+            labels,
+            2,
+            0,
+            schedule=schedule,
+            batch_size=batch_size,
+            n_iterations=n_iterations,
+        )
 
 
 def test_lloyd_two_clusters_lands_on_means():
@@ -261,6 +306,31 @@ def test_lloyd_raises_when_distortion_rises(monkeypatch):
     atoms, start = LLOYD_CASES["plain"]
     with pytest.raises(QuantDistillError, match="distortion rose"):
         lloyd(DiscreteMeasure.uniform(atoms), QuantizationGrid(start))
+
+
+def test_best_lloyd_keeps_the_lowest_distortion():
+    rng = np.random.default_rng(21)
+    mu = DiscreteMeasure.uniform(rng.random((300, 2)))
+    starts = [init_grid(mu, 5, "random_subset", rng) for _ in range(4)]
+    distortion, grid = best_lloyd(mu, starts)
+    finals = [quadratic_distortion(mu, lloyd(mu, start)) for start in starts]
+    assert distortion == min(finals)
+    assert quadratic_distortion(mu, grid) == distortion
+
+
+def test_best_lloyd_ties_go_to_the_earliest_start():
+    # The unit square's corners split into two columns or two rows at the
+    # same distortion, 1/4 exactly.
+    mu = DiscreteMeasure.uniform(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    columns = QuantizationGrid(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    rows = QuantizationGrid(np.array([[0.0, 0.0], [0.0, 1.0]]))
+    assert not np.array_equal(lloyd(mu, columns).centroids, lloyd(mu, rows).centroids)
+    for starts in ([columns, rows], [rows, columns]):
+        distortion, grid = best_lloyd(mu, starts)
+        assert distortion == 0.25
+        np.testing.assert_array_equal(grid.centroids, lloyd(mu, starts[0]).centroids)
+    with pytest.raises(ValueError):
+        best_lloyd(mu, [])
 
 
 def test_worst_served_atom_needs_an_uncovered_atom():
