@@ -30,6 +30,7 @@ from .errors import (
     NonFiniteValue,
     TruncatedFile,
 )
+from .measures import as_label_array
 
 MAGIC = b"OQDL"
 BINARY_VERSION = 1
@@ -163,17 +164,13 @@ def load_latents(path) -> np.ndarray:
 
 
 def save_labels(path, labels) -> None:
-    """Write one nonnegative integer label per line."""
-    labels = np.ascontiguousarray(labels)
-    if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError("labels must be a 1-d integer array")
-    if np.any(labels < 0):
-        raise ValueError("labels must be nonnegative")
+    """Write one label per line; the labels must form the range 0..C-1."""
+    labels = as_label_array(labels)
     _write_atomically(path, ("\n".join(str(int(v)) for v in labels) + "\n").encode())
 
 
 def load_labels(path, n_expected: int | None = None) -> np.ndarray:
-    """Read labels; validates count, sign, and label-range contiguity."""
+    """Read one label per line; validates the count and ``as_label_array``."""
     path = Path(path)
     lines = [(n, line.strip()) for n, line in enumerate(path.read_text().splitlines(), 1)
              if line.strip()]
@@ -185,18 +182,14 @@ def load_labels(path, n_expected: int | None = None) -> np.ndarray:
             values[i] = int(line)
         except ValueError:
             raise LatentFileError(f"{path}: line {number} is not an integer: {line!r}") from None
-    if np.any(values < 0):
-        raise LatentFileError(f"{path}: labels must be nonnegative")
     if n_expected is not None and values.shape[0] != n_expected:
         raise TruncatedFile(
             f"{path}: {values.shape[0]} labels for {n_expected} points"
         )
-    present = np.unique(values)
-    if not np.array_equal(present, np.arange(present.shape[0])):
-        raise LatentFileError(
-            f"{path}: labels must form a contiguous range starting at 0"
-        )
-    return values
+    try:
+        return as_label_array(values)
+    except ValueError as exc:
+        raise LatentFileError(f"{path}: {exc}") from None
 
 
 def _finite_array(doc_values, name: str, dtype=np.float64) -> np.ndarray:

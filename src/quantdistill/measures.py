@@ -31,6 +31,28 @@ def as_point_array(values, name: str = "points") -> np.ndarray:
     return arr
 
 
+def as_label_array(values, n_points: int | None = None) -> np.ndarray:
+    """Coerce to an intp vector of class labels forming the range 0..C-1.
+
+    Labels are nonnegative integers, one per point when ``n_points`` is
+    given, and every class from 0 to the largest label occurs at least once.
+    """
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.shape[0] < 1 or not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(
+            f"labels must be a nonempty 1-d integer array, got {arr.dtype} "
+            f"of shape {arr.shape}"
+        )
+    if n_points is not None and arr.shape[0] != n_points:
+        raise ValueError(f"{arr.shape[0]} labels for {n_points} points")
+    if np.any(arr < 0):
+        raise ValueError("labels must be nonnegative")
+    present = np.unique(arr)
+    if not np.array_equal(present, np.arange(present.shape[0])):
+        raise ValueError("labels must form a contiguous range starting at 0")
+    return arr.astype(np.intp)
+
+
 def as_point(value, name: str = "point") -> np.ndarray:
     """Coerce to a finite float64 vector of shape (d,)."""
     arr = np.ascontiguousarray(value, dtype=np.float64)

@@ -18,7 +18,7 @@ from .latentio import (
     TrainReport,
     TransportedResult,
 )
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, as_label_array
 from .quantize import (
     EmpiricalSampler,
     StepSchedule,
@@ -52,13 +52,8 @@ def class_subseed(master_seed: int, label: int) -> np.random.SeedSequence:
 
 
 def _split_by_class(points: np.ndarray, labels: np.ndarray):
-    labels = np.ascontiguousarray(labels)
-    if labels.shape != (points.shape[0],):
-        raise ValueError("labels must hold one value per point")
-    present = np.unique(labels)
-    if not np.array_equal(present, np.arange(present.shape[0])):
-        raise ValueError("labels must form a contiguous range starting at 0")
-    return [(int(c), points[labels == c]) for c in present]
+    labels = as_label_array(labels, points.shape[0])
+    return [(c, points[labels == c]) for c in range(int(labels.max()) + 1)]
 
 
 def distill(
@@ -234,8 +229,17 @@ def train(
 
     Returns the trained classifier and a report with the final weighted
     loss, the accuracy on the distilled points, and, when an evaluation
-    cloud is supplied, the accuracy there.
+    cloud is supplied, the accuracy there. ``eval_points`` and
+    ``eval_labels`` go together: giving one without the other raises
+    ``ValueError``.
     """
+    if eval_points is not None and eval_labels is None:
+        raise ValueError("eval_labels is required with eval_points")
+    if eval_labels is not None and eval_points is None:
+        raise ValueError("eval_points is required with eval_labels")
+    if eval_points is not None:
+        eval_points = np.ascontiguousarray(eval_points, dtype=np.float64)
+        eval_labels = as_label_array(eval_labels, len(eval_points))
     dataset = build_dataset(result, weight_mode)
     classifier = parse_model(model, dataset.dim, dataset.n_classes)
     trained = train_weighted(
@@ -249,11 +253,7 @@ def train(
     train_accuracy = classification_accuracy(trained, dataset.points, dataset.labels)
     eval_accuracy = None
     if eval_points is not None:
-        if eval_labels is None:
-            raise ValueError("eval_labels required with eval_points")
-        eval_accuracy = classification_accuracy(
-            trained, np.ascontiguousarray(eval_points, dtype=np.float64), eval_labels
-        )
+        eval_accuracy = classification_accuracy(trained, eval_points, eval_labels)
     report = TrainReport(
         seed=int(seed),
         model=model,

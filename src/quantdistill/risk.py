@@ -18,6 +18,7 @@ from .errors import DimensionError, NonFiniteLoss
 from .measures import (
     DiscreteMeasure,
     QuantizationGrid,
+    as_label_array,
     as_point,
     as_point_array,
     project_to_grid,
@@ -170,22 +171,15 @@ class WeightedDataset:
 
     def __post_init__(self):
         points = as_point_array(self.points, "points")
-        labels = np.ascontiguousarray(self.labels)
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         n = points.shape[0]
-        if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError("labels must be one integer per point")
-        if np.any(labels < 0):
-            raise ValueError("labels must be nonnegative")
-        present = np.unique(labels)
-        if not np.array_equal(present, np.arange(present.shape[0])):
-            raise ValueError("labels must form a contiguous range starting at 0")
+        labels = as_label_array(self.labels, n)
+        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         if weights.shape != (n,) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be one finite value per point")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "labels", labels.astype(np.intp))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -427,9 +421,7 @@ def majority_labels(
     the atom nearest its centroid.
     """
     mu = DiscreteMeasure.from_unnormalized(points, weights)
-    labels = np.ascontiguousarray(labels)
-    if labels.shape != (mu.n_atoms,) or not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError("labels must be one integer per point")
+    labels = as_label_array(labels, mu.n_atoms)
     part = voronoi_partition(mu, grid)
     n_labels = int(labels.max()) + 1
     votes = np.zeros((grid.n_centroids, n_labels))

@@ -4,7 +4,8 @@ Each check draws randomized instances under a seed derived from the master
 seed and a fixed per-check offset, measures the property with an independent
 route (closed forms, finite differences, quadrature, brute enumeration, or
 fresh Monte Carlo), and emits one record per claim with the measured value,
-its target, the allowed tolerance, and a pass flag. The command-line
+its target, the allowed tolerance, and the verdict those numbers give under
+the record's rule (see ``CheckRecord``). The command-line
 ``verify`` subcommand runs these and fails its exit status when any record
 fails.
 """
@@ -14,13 +15,14 @@ from __future__ import annotations
 import contextlib
 import io
 import tempfile
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 
 from .diffusion import (
+    STDERR_SIGMAS,
     ReferenceLaw,
     SdeSpec,
     analytic_score,
@@ -66,15 +68,38 @@ DEFAULT_SEED = 0
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One verified claim: what was measured, against what, and the verdict."""
+    """One verified claim: what was measured, against what, and the verdict.
+
+    The verdict ``passed`` is not given; it follows from the reported numbers
+    under ``rule``, with a ``None`` tolerance counting as 0:
+
+    - ``"at_most"`` (default): ``measured <= target + tolerance``;
+    - ``"within"``: ``abs(measured - target) <= tolerance``;
+    - ``"at_least"``: ``measured >= target - tolerance``.
+
+    An unknown rule raises ``ValueError``.
+    """
 
     claim: str
     statement: str
     measured: float
     target: float
     tolerance: float | None
-    passed: bool
     seed: int
+    rule: InitVar[str] = "at_most"
+    passed: bool = field(init=False)
+
+    def __post_init__(self, rule: str):
+        tol = 0.0 if self.tolerance is None else self.tolerance
+        if rule == "at_most":
+            passed = self.measured <= self.target + tol
+        elif rule == "within":
+            passed = abs(self.measured - self.target) <= tol
+        elif rule == "at_least":
+            passed = self.measured >= self.target - tol
+        else:
+            raise ValueError(f"unknown rule {rule!r}")
+        object.__setattr__(self, "passed", bool(passed))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -91,17 +116,17 @@ class CheckRecord:
             "measured": self.measured,
             "target": self.target,
             "tolerance": self.tolerance,
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "seed": int(self.seed),
         }
 
 
-def _rng(seed: int, offset: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, offset)))
+def _sub(seed: int, *keys: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence((seed, *keys))
 
 
-def _sub(seed: int, offset: int, extra: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((seed, offset, extra))
+def _rng(seed: int, *keys: int) -> np.random.Generator:
+    return np.random.default_rng(_sub(seed, *keys))
 
 
 def _random_instance(rng, max_centroids: int, margin: float):
@@ -142,7 +167,6 @@ def check_distortion_w2_equality(seed: int) -> list[CheckRecord]:
             measured=worst,
             target=0.0,
             tolerance=1e-9,
-            passed=worst <= 1e-9,
             seed=seed,
         )
     ]
@@ -177,7 +201,6 @@ def check_distortion_gradient_fd(seed: int) -> list[CheckRecord]:
             measured=worst,
             target=0.0,
             tolerance=1e-5,
-            passed=worst <= 1e-5,
             seed=seed,
         )
     ]
@@ -201,7 +224,6 @@ def check_interval_quantizer_error(seed: int) -> list[CheckRecord]:
             measured=worst,
             target=0.0,
             tolerance=0.1,
-            passed=worst <= 0.1,
             seed=seed,
         )
     ]
@@ -224,7 +246,7 @@ def check_companion_weight_convergence(seed: int) -> list[CheckRecord]:
         sorted_weights = result.weights[order]
         weight_errors.append(float(np.abs(sorted_weights - [0.7, 0.3]).max()))
         running = empirical_distortion_trace(result)[-1]
-        fresh_rng = np.random.default_rng(_sub(seed, 4, 100 + rep))
+        fresh_rng = _rng(seed, 4, 100 + rep)
         fresh = DiscreteMeasure.uniform(sampler.draw(fresh_rng, 100000))
         fresh_distortion = quadratic_distortion(fresh, result.grid)
         trace_gaps.append(abs(running / fresh_distortion - 1.0))
@@ -240,7 +262,6 @@ def check_companion_weight_convergence(seed: int) -> list[CheckRecord]:
             measured=med_weight,
             target=0.0,
             tolerance=0.02,
-            passed=med_weight <= 0.02,
             seed=seed,
         ),
         CheckRecord(
@@ -252,7 +273,6 @@ def check_companion_weight_convergence(seed: int) -> list[CheckRecord]:
             measured=med_trace,
             target=0.0,
             tolerance=0.1,
-            passed=med_trace <= 0.1,
             seed=seed,
         ),
     ]
@@ -286,7 +306,6 @@ def check_online_minibatch_equivalence(seed: int) -> list[CheckRecord]:
             measured=measured,
             target=0.0,
             tolerance=0.0,
-            passed=measured == 0.0,
             seed=seed,
         )
     ]
@@ -303,7 +322,6 @@ def check_quantizer_rate_law(seed: int) -> list[CheckRecord]:
             n_restarts=5,
         )
         target = -1.0 / dim
-        err = abs(scan.fitted_slope - target)
         records.append(
             CheckRecord(
                 claim=f"quantizer_rate_dim{dim}",
@@ -314,7 +332,7 @@ def check_quantizer_rate_law(seed: int) -> list[CheckRecord]:
                 measured=scan.fitted_slope,
                 target=target,
                 tolerance=0.15,
-                passed=err <= 0.15,
+                rule="within",
                 seed=seed,
             )
         )
@@ -348,7 +366,6 @@ def check_lipschitz_expectation_gap(seed: int) -> list[CheckRecord]:
             measured=float(worst),
             target=0.0,
             tolerance=1e-9,
-            passed=worst <= 1e-9,
             seed=seed,
         )
     ]
@@ -385,7 +402,6 @@ def check_score_monotonicity(seed: int) -> list[CheckRecord]:
                 measured=worst,
                 target=0.0,
                 tolerance=1e-9,
-                passed=worst <= 1e-9,
                 seed=seed,
             )
         )
@@ -422,7 +438,6 @@ def check_explicit_constant_quadrature(seed: int) -> list[CheckRecord]:
             measured=worst,
             target=0.0,
             tolerance=1e-10,
-            passed=worst <= 1e-10,
             seed=seed,
         )
     ]
@@ -480,8 +495,7 @@ def check_transported_expectation_bound(seed: int) -> list[CheckRecord]:
                 ),
                 measured=report.lhs,
                 target=report.rhs,
-                tolerance=3.0 * report.mc_stderr,
-                passed=report.passed,
+                tolerance=STDERR_SIGMAS * report.mc_stderr,
                 seed=seed,
             )
         )
@@ -503,7 +517,7 @@ def check_transported_expectation_bound(seed: int) -> list[CheckRecord]:
             measured=variance,
             target=sde.early_stop,
             tolerance=float(tolerance),
-            passed=abs(variance - sde.early_stop) <= tolerance,
+            rule="within",
             seed=seed,
         )
     )
@@ -524,7 +538,7 @@ def check_weighting_reduction(seed: int) -> list[CheckRecord]:
     reductions = []
     worst_excess = -np.inf
     for rep in range(10):
-        rng = np.random.default_rng(_sub(seed, 11, rep))
+        rng = _rng(seed, 11, rep)
         mu = _skewed_clusters(rng, 300)
         _, grid = best_lloyd(mu, [init_grid(mu, 3, "dsquared", rng) for _ in range(3)])
         comparison = compare_weighting(mu, grid)
@@ -543,7 +557,6 @@ def check_weighting_reduction(seed: int) -> list[CheckRecord]:
             measured=float(worst_excess),
             target=0.0,
             tolerance=1e-9,
-            passed=worst_excess <= 1e-9,
             seed=seed,
         ),
         CheckRecord(
@@ -555,7 +568,7 @@ def check_weighting_reduction(seed: int) -> list[CheckRecord]:
             measured=median_reduction,
             target=0.05,
             tolerance=None,
-            passed=median_reduction >= 0.05,
+            rule="at_least",
             seed=seed,
         ),
     ]
@@ -564,7 +577,7 @@ def check_weighting_reduction(seed: int) -> list[CheckRecord]:
 def check_gradient_discrepancy_weighting(seed: int) -> list[CheckRecord]:
     wins = 0
     for trial in range(10):
-        rng = np.random.default_rng(_sub(seed, 12, trial))
+        rng = _rng(seed, 12, trial)
         full_points, full_labels = [], []
         distilled_points, distilled_labels = [], []
         mass_weights, uniform_weights = [], []
@@ -606,7 +619,7 @@ def check_gradient_discrepancy_weighting(seed: int) -> list[CheckRecord]:
             measured=float(wins),
             target=7.0,
             tolerance=None,
-            passed=wins >= 7,
+            rule="at_least",
             seed=seed,
         )
     ]
@@ -614,79 +627,40 @@ def check_gradient_discrepancy_weighting(seed: int) -> list[CheckRecord]:
 
 def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
     from . import cli
+    from .latentio import load_train_report, save_labels, save_latents
 
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         points, labels = demo_dataset(seed, n_per_class=300)
-        from .latentio import load_train_report, save_labels, save_latents
-
         latents = tmp / "latents.bin"
         labels_path = tmp / "labels.txt"
         save_latents(latents, points)
         save_labels(labels_path, labels)
-        seed_arg = str(seed)
-
-        def run(args):
-            with contextlib.redirect_stdout(io.StringIO()):
-                status = cli.main(args)
-            if status != 0:
-                raise RuntimeError(f"command failed with status {status}: {args}")
-
-        distilled = []
-        for tag in ("a", "b"):
-            out = tmp / f"distilled_{tag}.json"
-            run(
-                [
-                    "distill",
-                    "--latents", str(latents),
-                    "--labels", str(labels_path),
-                    "--ipc", "10",
-                    "--seed", seed_arg,
-                    "--out", str(out),
-                ]
-            )
-            distilled.append(out.read_bytes())
-        mismatches += distilled[0] != distilled[1]
-
-        transported = []
-        for tag in ("a", "b"):
-            out = tmp / f"transported_{tag}.json"
-            run(
-                [
-                    "diffuse",
-                    "--distilled", str(tmp / "distilled_a.json"),
-                    "--latents", str(latents),
-                    "--labels", str(labels_path),
-                    "--sde", "brownian",
-                    "--horizon", "1.0",
-                    "--delta", "0.25",
-                    "--steps", "200",
-                    "--mc", "800",
-                    "--seed", seed_arg,
-                    "--out", str(out),
-                ]
-            )
-            transported.append(out.read_bytes())
-        mismatches += transported[0] != transported[1]
-
-        reports = []
-        for tag in ("a", "b"):
-            out = tmp / f"report_{tag}.json"
-            run(
-                [
-                    "train",
-                    "--distilled", str(tmp / "distilled_a.json"),
-                    "--weights", "variance_reduced",
-                    "--model", "logistic",
-                    "--lr", "1.0",
-                    "--epochs", "200",
-                    "--seed", seed_arg,
-                    "--out", str(out),
-                ]
-            )
-            reports.append(out.read_bytes())
-        mismatches += reports[0] != reports[1]
+        cloud = ["--latents", str(latents), "--labels", str(labels_path)]
+        distilled = ["--distilled", str(tmp / "distilled_a.json")]
+        stages = (
+            ("distilled", ["distill", *cloud, "--ipc", "10"]),
+            ("transported", [
+                "diffuse", *distilled, *cloud, "--sde", "brownian", "--horizon", "1.0",
+                "--delta", "0.25", "--steps", "200", "--mc", "800",
+            ]),
+            ("report", [
+                "train", *distilled, "--weights", "variance_reduced",
+                "--model", "logistic", "--lr", "1.0", "--epochs", "200",
+            ]),
+        )
+        for name, argv in stages:
+            outputs = []
+            for tag in ("a", "b"):
+                out = tmp / f"{name}_{tag}.json"
+                args = [*argv, "--seed", str(seed), "--out", str(out)]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    status = cli.main(args)
+                if status != 0:
+                    raise RuntimeError(f"command failed with status {status}: {args}")
+                outputs.append(out.read_bytes())
+            mismatches += outputs[0] != outputs[1]
         accuracy = load_train_report(tmp / "report_a.json").train_accuracy
     return [
         CheckRecord(
@@ -698,7 +672,6 @@ def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
             measured=float(mismatches),
             target=0.0,
             tolerance=0.0,
-            passed=mismatches == 0,
             seed=seed,
         ),
         CheckRecord(
@@ -710,7 +683,7 @@ def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
             measured=float(accuracy),
             target=1.0,
             tolerance=0.0,
-            passed=accuracy == 1.0,
+            rule="within",
             seed=seed,
         ),
     ]
@@ -744,7 +717,6 @@ def check_gradient_smoothness_estimate(seed: int) -> list[CheckRecord]:
             measured=estimate,
             target=float("inf"),
             tolerance=None,
-            passed=True,
             seed=seed,
         )
     ]
@@ -790,15 +762,7 @@ CHECKS: tuple[CheckSpec, ...] = (
     CheckSpec("pipeline_determinism", "pipeline", check_pipeline_determinism),
 )
 
-SUITES = ("distortion", "transport", "clvq", "diffusion", "risk", "pipeline")
-
-
-def run_check(key: str, seed: int = DEFAULT_SEED) -> list[CheckRecord]:
-    """Run one named check and return its records."""
-    for spec in CHECKS:
-        if spec.key == key:
-            return spec.fn(seed)
-    raise KeyError(f"unknown check {key!r}")
+SUITES = tuple(dict.fromkeys(spec.suite for spec in CHECKS))
 
 
 def run_checks(suite: str = "all", seed: int = DEFAULT_SEED) -> list[CheckRecord]:

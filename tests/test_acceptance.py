@@ -9,6 +9,7 @@ lines themselves appear in the captured output on failure.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quantdistill
@@ -29,8 +30,6 @@ def test_criterion(key):
 
 
 def test_registry_covers_every_suite():
-    suites = {spec.suite for spec in verification.CHECKS}
-    assert suites == set(verification.SUITES)
     keys = [spec.key for spec in verification.CHECKS]
     assert len(keys) == len(set(keys))
 
@@ -38,8 +37,47 @@ def test_registry_covers_every_suite():
 def test_run_checks_rejects_unknown_names():
     with pytest.raises(ValueError):
         verification.run_checks("imaginary_suite")
-    with pytest.raises(KeyError):
-        verification.run_check("imaginary_check")
+
+
+def _record(measured, target, tolerance, **rule):
+    return verification.CheckRecord(
+        claim="c",
+        statement="s",
+        measured=measured,
+        target=target,
+        tolerance=tolerance,
+        seed=0,
+        **rule,
+    )
+
+
+@pytest.mark.parametrize(
+    "rule, side",
+    [("at_most", 1.0), ("within", 1.0), ("within", -1.0), ("at_least", -1.0)],
+)
+def test_verdict_follows_the_rule(rule, side):
+    # The bound is target + side * tolerance; one ulp beyond it fails. Target
+    # 0 keeps the rules' own sums and differences exact.
+    edge = side * 0.25
+    beyond = np.nextafter(edge, side * np.inf)
+    assert _record(edge, 0.0, 0.25, rule=rule).passed is True
+    assert _record(beyond, 0.0, 0.25, rule=rule).passed is False
+    # A missing tolerance counts as 0.
+    assert _record(0.0, 0.0, None, rule=rule).passed is True
+    assert _record(np.nextafter(0.0, side), 0.0, None, rule=rule).passed is False
+
+
+def test_verdict_rule_defaults_to_at_most():
+    # Only "at_most" both passes far below the target and fails just above it.
+    assert _record(-1.0, 0.0, 0.25).passed is True
+    assert _record(np.nextafter(0.25, 1.0), 0.0, 0.25).passed is False
+
+
+def test_verdict_rejects_unknown_rule_and_a_given_verdict():
+    with pytest.raises(ValueError, match="unknown rule"):
+        _record(0.0, 0.0, 0.0, rule="roughly")
+    with pytest.raises(TypeError):
+        _record(0.0, 0.0, 0.0, passed=True)
 
 
 def test_cli_verify_is_the_acceptance_surface(capsys):

@@ -37,7 +37,7 @@ from quantdistill.latentio import (
     save_train_report,
     save_transported,
 )
-from quantdistill.pipeline import demo_dataset, distill
+from quantdistill.pipeline import demo_dataset, distill, train
 from quantdistill.verification import CheckRecord, CheckSpec
 
 
@@ -164,6 +164,24 @@ def test_labels_round_trip_and_validation(tmp_path):
     junk.write_text("0\nx\n")
     with pytest.raises(LatentFileError):
         load_labels(junk)
+
+
+@pytest.mark.parametrize("labels", [[0, 2], [-1, 0], []])
+def test_save_labels_refuses_what_load_labels_rejects(tmp_path, labels):
+    path = tmp_path / "labels.txt"
+    with pytest.raises(ValueError):
+        save_labels(path, np.array(labels, dtype=np.intp))
+    assert not path.exists()
+    path.write_text("".join(f"{v}\n" for v in labels))
+    with pytest.raises(LatentFileError):
+        load_labels(path)
+
+
+def test_load_labels_prefixes_the_shared_check_with_the_path(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("0\n-1\n")
+    with pytest.raises(LatentFileError, match=f"{path.name}: labels must be nonnegative"):
+        load_labels(path)
 
 
 def test_load_labels_names_the_file_line_after_a_blank_line(tmp_path):
@@ -486,6 +504,19 @@ def test_cli_train_needs_both_eval_flags(tmp_path, capsys):
         assert not report.exists()
 
 
+def test_train_checks_its_evaluation_pair():
+    points, labels = demo_dataset(0, n_per_class=50)
+    result = distill(points, labels, 3, 1)
+    with pytest.raises(ValueError, match="eval_points is required"):
+        train(result, epochs=5, eval_labels=labels)
+    with pytest.raises(ValueError, match="eval_labels is required"):
+        train(result, epochs=5, eval_points=points)
+    with pytest.raises(ValueError, match="1 labels for 150 points"):
+        train(result, epochs=5, eval_points=points, eval_labels=[0])
+    _, report = train(result, epochs=5, eval_points=points, eval_labels=labels)
+    assert report.eval_accuracy is not None
+
+
 def test_cli_w2_prints_distance(tmp_path, capsys):
     left = tmp_path / "left.bin"
     right = tmp_path / "right.bin"
@@ -578,7 +609,6 @@ def test_cli_verify_reports_failure_exit_code(tmp_path, monkeypatch, capsys):
                 measured=1.0,
                 target=0.0,
                 tolerance=0.0,
-                passed=False,
                 seed=seed,
             )
         ]

@@ -59,6 +59,29 @@ def test_squared_distances_block_size_changes_no_entry(monkeypatch, block_bytes)
     assert d2[40, 2] == 0.0
 
 
+def test_as_label_array_accepts_the_range_in_any_order():
+    out = measures.as_label_array(np.array([2, 0, 1, 0], dtype=np.int32), 4)
+    assert out.dtype == np.intp
+    np.testing.assert_array_equal(out, [2, 0, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "labels, n_points, message",
+    [
+        ([0, 2], None, "contiguous range"),
+        ([-1, -1, 0, 1], None, "nonnegative"),
+        ([], None, "nonempty 1-d integer"),
+        ([[0, 1]], None, "nonempty 1-d integer"),
+        ([0.0, 1.0], None, "nonempty 1-d integer"),
+        ([True, False], None, "nonempty 1-d integer"),
+        ([0, 1, 1], 2, "3 labels for 2 points"),
+    ],
+)
+def test_as_label_array_rejects_bad_labels(labels, n_points, message):
+    with pytest.raises(ValueError, match=message):
+        measures.as_label_array(labels, n_points)
+
+
 def test_measure_validates_weights():
     atoms = np.zeros((3, 2))
     with pytest.raises(ValueError):

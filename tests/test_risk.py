@@ -221,3 +221,15 @@ def test_majority_labels_votes_and_ties():
         QuantizationGrid(np.array([[0.1]])),
     )
     np.testing.assert_array_equal(tie, [0])
+
+
+def test_majority_labels_rejects_negative_labels():
+    # A -1 would index the last vote column and win as the highest label.
+    grid = QuantizationGrid(np.array([[0.0], [1.0]]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        majority_labels(
+            np.array([[0.0], [0.1], [1.0], [1.1]]),
+            np.array([-1, -1, 0, 1]),
+            np.ones(4),
+            grid,
+        )
