@@ -3,8 +3,9 @@
 A discrete measure is a finite weighted point cloud; a quantization grid is a
 finite set of pairwise-distinct centroids. The quadratic distortion of a grid
 against a measure is the weighted mean squared distance from each atom to its
-nearest centroid. Nearest-centroid ties always resolve to the lowest centroid
-index so that every operation is deterministic.
+nearest centroid. Every point-to-centroid distance in the package comes from
+one exact kernel, ``squared_distances``. Nearest-centroid ties always resolve
+to the lowest centroid index so that every operation is deterministic.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import DimensionError
 
 WEIGHT_SUM_TOL = 1e-12
-DISTANCE_BLOCK_BYTES = 1 << 22
 
 
 def as_point_array(values, name: str = "points") -> np.ndarray:
@@ -66,16 +67,12 @@ def as_point(value, name: str = "point") -> np.ndarray:
 def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """All pairwise squared Euclidean distances, shape (n, K).
 
-    Computed by direct differencing rather than the norm-expansion identity so
-    that exact ties in the inputs stay exact in the output. Rows go in blocks
-    of about ``DISTANCE_BLOCK_BYTES`` of differences, which change no entry.
+    One ``cdist`` call, which differences each pair directly rather than using
+    the norm-expansion identity and allocates only the (n, K) output. So an
+    entry depends only on its own pair of rows: equal rows give exactly 0, and
+    exact ties in the inputs stay exact in the output.
     """
-    out = np.empty((points.shape[0], centroids.shape[0]))
-    rows = max(1, DISTANCE_BLOCK_BYTES // max(1, centroids.nbytes))
-    for lo in range(0, points.shape[0], rows):
-        diff = np.subtract(points[lo:lo + rows, None, :], centroids[None], order="C")
-        np.einsum("nkd,nkd->nk", diff, diff, out=out[lo:lo + rows])
-    return out
+    return cdist(points, centroids, "sqeuclidean")
 
 
 @dataclass(frozen=True)
@@ -181,14 +178,6 @@ class VoronoiPartition:
 def _check_same_dim(a_dim: int, b_dim: int) -> None:
     if a_dim != b_dim:
         raise DimensionError(f"dimension mismatch: {a_dim} vs {b_dim}")
-
-
-def nearest_index(point, grid: QuantizationGrid) -> int:
-    """Index of the centroid nearest to ``point``; ties go to the lowest index."""
-    p = as_point(point)
-    _check_same_dim(p.shape[0], grid.dim)
-    d2 = squared_distances(p[None, :], grid.centroids)[0]
-    return int(np.argmin(d2))
 
 
 def cell_means(

@@ -302,8 +302,7 @@ def _competitive_loop(samples, x0, schedule: StepSchedule, record: bool):
     harmonic = schedule.kind == "harmonic"
     for i in range(n):
         s = samples[i]
-        diff = x - s
-        d2 = np.einsum("kd,kd->k", diff, diff)
+        d2 = squared_distances(s[None, :], x)[0]
         win = int(np.argmin(d2))
         if record:
             trace[i] = d2[win]

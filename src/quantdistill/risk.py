@@ -24,7 +24,6 @@ from .measures import (
     project_to_grid,
     quadratic_distortion,
     squared_distances,
-    voronoi_partition,
 )
 
 GAP_SLACK = 1e-9
@@ -101,7 +100,7 @@ class LipschitzFunction:
         if self.dim is not None and batch.shape[1] != self.dim:
             raise DimensionError(f"dimension mismatch: {batch.shape[1]} vs {self.dim}")
         if self.kind == "distance_to_point":
-            out = np.sqrt(((batch - self.anchor) ** 2).sum(axis=1))
+            out = np.sqrt(squared_distances(batch, self.anchor[None, :])[:, 0])
         elif self.kind == "max_affine":
             out = (batch @ self.slopes.T + self.offsets).max(axis=1)
         else:
@@ -390,8 +389,8 @@ def classification_accuracy(
     classifier: TinyClassifier, points, labels, theta=None
 ) -> float:
     """Unweighted fraction of points assigned their stated label."""
-    labels = np.ascontiguousarray(labels)
     predicted = classifier.predict(points, theta)
+    labels = as_label_array(labels, predicted.shape[0])
     return float(np.mean(predicted == labels))
 
 
@@ -410,26 +409,3 @@ def gradient_discrepancy(
     _, g_full = loss_and_gradient(classifier, full_data, theta)
     _, g_dist = loss_and_gradient(classifier, distilled, theta)
     return float(np.linalg.norm(g_full - g_dist))
-
-
-def majority_labels(
-    points, labels, weights, grid: QuantizationGrid
-) -> np.ndarray:
-    """Weighted majority label of each Voronoi cell.
-
-    Ties resolve to the lowest label. A cell with no mass takes the label of
-    the atom nearest its centroid.
-    """
-    mu = DiscreteMeasure.from_unnormalized(points, weights)
-    labels = as_label_array(labels, mu.n_atoms)
-    part = voronoi_partition(mu, grid)
-    n_labels = int(labels.max()) + 1
-    votes = np.zeros((grid.n_centroids, n_labels))
-    np.add.at(votes, (part.assignment, labels), mu.weights)
-    out = np.argmax(votes, axis=1).astype(np.intp)
-    for j in np.flatnonzero(part.cell_mass == 0.0):
-        nearest_atom = int(
-            np.argmin(squared_distances(mu.atoms, grid.centroids[j][None, :])[:, 0])
-        )
-        out[j] = labels[nearest_atom]
-    return out

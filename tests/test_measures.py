@@ -1,7 +1,12 @@
 """Tests for discrete measures, grids, partitions, and the distortion."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quantdistill import measures
 from quantdistill.errors import DimensionError
@@ -9,7 +14,6 @@ from quantdistill.measures import (
     DiscreteMeasure,
     QuantizationGrid,
     distortion_gradient,
-    nearest_index,
     project_to_grid,
     quadratic_distortion,
     squared_distances,
@@ -36,27 +40,43 @@ def test_squared_distances_exact_tie_stays_exact():
     centroids = np.array([[0.25], [0.75]])
     d2 = squared_distances(points, centroids)
     assert d2[0, 0] == d2[0, 1]
-    grid = QuantizationGrid(centroids)
-    assert nearest_index(points[0], grid) == 0
+    assert np.argmin(d2[0]) == 0
 
 
-@pytest.mark.parametrize("block_bytes", [1, 8 * 5 * 33 * 7, 1 << 22])
-def test_squared_distances_block_size_changes_no_entry(monkeypatch, block_bytes):
-    # One whole (n, K, d) differencing pass on C-ordered inputs is the
-    # reference; blocks of rows, and a Fortran-ordered input, give the same
-    # bits.
-    rng = np.random.default_rng(3)
-    points = rng.normal(size=(97, 33)) * 10.0
-    centroids = rng.normal(size=(5, 33)) * 10.0
-    centroids[2] = points[40]
-    diff = points[:, None, :] - centroids[None, :, :]
-    whole = np.einsum("nkd,nkd->nk", diff, diff)
-    monkeypatch.setattr(measures, "DISTANCE_BLOCK_BYTES", block_bytes)
-    for layout in (points, np.asfortranarray(points)):
-        d2 = squared_distances(layout, centroids)
-        assert d2.shape == whole.shape and d2.dtype == whole.dtype
-        assert d2.tobytes() == whole.tobytes()
-    assert d2[40, 2] == 0.0
+@st.composite
+def point_sets(draw):
+    """Two finite point sets of shapes (n, d) and (K, d), n, K <= 8, d <= 64."""
+    n, k, d = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 64))
+    coords = st.floats(-1e6, 1e6)
+    return (
+        draw(hnp.arrays(np.float64, (n, d), elements=coords)),
+        draw(hnp.arrays(np.float64, (k, d), elements=coords)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_squared_distances_kernel_properties(pair):
+    points, centroids = pair
+    d = points.shape[1]
+    d2 = squared_distances(points, centroids)
+    assert d2.shape == (points.shape[0], centroids.shape[0])
+    for i, p in enumerate(points):
+        for j, c in enumerate(centroids):
+            # Recursive summation of d rounded squares stays within relative
+            # d * eps of their exactly rounded sum.
+            exact = math.fsum((p - c) ** 2)
+            assert abs(d2[i, j] - exact) <= d * np.finfo(float).eps * exact
+            # An entry depends only on its own pair, so a one-pair call (the
+            # online winner search) agrees with a whole-cloud Voronoi pass.
+            assert squared_distances(p[None, :], c[None, :])[0, 0] == d2[i, j]
+    assert np.array_equal(squared_distances(centroids, points), d2.T)
+    assert not np.any(np.diag(squared_distances(points, points)))
+    fortran = squared_distances(np.asfortranarray(points), np.asfortranarray(centroids))
+    assert fortran.tobytes() == d2.tobytes()
+    # Every centroid listed twice: argmin keeps the lower copy.
+    doubled = squared_distances(points, np.vstack([centroids, centroids]))
+    assert np.array_equal(np.argmin(doubled, axis=1), np.argmin(d2, axis=1))
 
 
 def test_as_label_array_accepts_the_range_in_any_order():
@@ -124,14 +144,6 @@ def test_grid_rejects_duplicate_centroids():
     grid = QuantizationGrid(np.array([[1.0, 2.0], [1.0, 2.5]]))
     assert grid.n_centroids == 2
     assert grid.dim == 2
-
-
-def test_nearest_index_breaks_ties_low():
-    grid = QuantizationGrid(np.array([[-1.0], [1.0]]))
-    assert nearest_index(np.array([0.0]), grid) == 0
-    assert nearest_index(np.array([0.5]), grid) == 1
-    with pytest.raises(DimensionError):
-        nearest_index(np.array([0.0, 0.0]), grid)
 
 
 def test_voronoi_partition_masses_and_centroids():

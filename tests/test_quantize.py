@@ -369,6 +369,23 @@ def test_empirical_distortion_trace_is_running_mean():
         empirical_distortion_trace(bare)
 
 
+def test_clvq_finds_each_winner_through_the_distance_kernel(monkeypatch):
+    # With a given start grid the only distances are the per-step winner
+    # searches: one kernel call of one sample against all K centroids.
+    shapes = []
+
+    def counted(points, centroids):
+        shapes.append((points.shape, centroids.shape))
+        return squared_distances(points, centroids)
+
+    monkeypatch.setattr(quantize, "squared_distances", counted)
+    rng = np.random.default_rng(16)
+    mu = DiscreteMeasure.uniform(rng.normal(size=(40, 3)))
+    init = QuantizationGrid(rng.normal(size=(4, 3)))
+    clvq(EmpiricalSampler(mu), 4, StepSchedule.harmonic(1.0, 1.0), 25, 16, init=init)
+    assert shapes == [((1, 3), (4, 3))] * 25
+
+
 def test_clvq_winner_update_is_convex_combination():
     # A single harmonic step from a known grid moves only the winner.
     mu = DiscreteMeasure.uniform(np.array([[0.0], [10.0]]))

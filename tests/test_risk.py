@@ -13,7 +13,6 @@ from quantdistill.risk import (
     classification_accuracy,
     gradient_discrepancy,
     loss_and_gradient,
-    majority_labels,
     train_weighted,
     weighted_expectation,
 )
@@ -183,6 +182,19 @@ def test_train_weighted_decreases_loss_and_is_deterministic():
     assert classification_accuracy(trained_a, points, labels) == 1.0
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [([0], "1 labels for 150 points"), (np.full(150, -5), "nonnegative")],
+)
+def test_classification_accuracy_checks_its_labels(labels, message):
+    # One nonnegative label per point: a single label must not broadcast over
+    # every point, and a negative label is no class.
+    points = np.random.default_rng(44).normal(size=(150, 2))
+    clf = TinyClassifier.multinomial_logistic(2, 3)
+    with pytest.raises(ValueError, match=message):
+        classification_accuracy(clf, points, labels, clf.init_parameters(0))
+
+
 def test_train_weighted_keeps_existing_parameters_as_start():
     points = np.array([[-1.0, 0.0], [1.0, 0.0]])
     labels = np.array([0, 1], dtype=np.intp)
@@ -205,31 +217,3 @@ def test_gradient_discrepancy_zero_on_same_data():
     theta = clf.init_parameters(0)
     assert gradient_discrepancy(clf, theta, data, data) == 0.0
 
-
-def test_majority_labels_votes_and_ties():
-    points = np.array([[0.0], [0.1], [0.2], [1.0]])
-    labels = np.array([1, 0, 0, 1], dtype=np.intp)
-    grid = QuantizationGrid(np.array([[0.1], [1.0], [50.0]]))
-    out = majority_labels(points, labels, np.ones(4), grid)
-    # Cell 0 collects two 0-votes against one 1-vote; cell 2 is empty and
-    # inherits the label of the nearest atom.
-    np.testing.assert_array_equal(out, [0, 1, 1])
-    tie = majority_labels(
-        np.array([[0.0], [0.2]]),
-        np.array([1, 0], dtype=np.intp),
-        np.ones(2),
-        QuantizationGrid(np.array([[0.1]])),
-    )
-    np.testing.assert_array_equal(tie, [0])
-
-
-def test_majority_labels_rejects_negative_labels():
-    # A -1 would index the last vote column and win as the highest label.
-    grid = QuantizationGrid(np.array([[0.0], [1.0]]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        majority_labels(
-            np.array([[0.0], [0.1], [1.0], [1.1]]),
-            np.array([-1, -1, 0, 1]),
-            np.ones(4),
-            grid,
-        )
