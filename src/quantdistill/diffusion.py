@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp, softmax
 
 from .errors import DimensionError, InvalidSpec, InvalidTime
-from .measures import DiscreteMeasure, project_to_grid, squared_distances
+from .measures import DiscreteMeasure, squared_distances
 from .quantize import EmpiricalSampler, as_generator, init_grid, lloyd
 from .transport import w2_discrete
 
@@ -319,8 +319,8 @@ def verify_main_theorem(
     """
     seed_fwd, seed_quant, seed_mu, seed_nu = _spawn(seed, 4)
     mu_end = forward_marginal(ref, sde, sde.horizon, n_mc, seed_fwd)
-    grid = lloyd(mu_end, init_grid(mu_end, n_centroids, "dsquared", seed_quant))
-    nu_end = project_to_grid(mu_end, grid)
+    fit = lloyd(mu_end, init_grid(mu_end, n_centroids, "dsquared", seed_quant))
+    nu_end = DiscreteMeasure.from_unnormalized(fit.grid.centroids, fit.partition.cell_mass)
     report, _, _ = _bound_report(ref, sde, mu_end, nu_end, test_fn, seed_mu, seed_nu)
     return report
 

@@ -121,7 +121,8 @@ def _load_latents_csv(path: Path) -> np.ndarray:
                     f"{path}: line {number} column {c} is not a number: {token.strip()!r}"
                 ) from None
     if not np.all(np.isfinite(rows)):
-        raise NonFiniteValue(f"{path}: NaN or infinite entries")
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+        raise NonFiniteValue(f"{path}: line {lines[bad + 1][0]} holds NaN or infinite entries")
     return rows
 
 
@@ -132,7 +133,8 @@ def load_latents(path) -> np.ndarray:
     ------
     EmptyFile, BadMagic, TruncatedFile, NonFiniteValue
         For missing content, a wrong tag or version, counts that disagree
-        with the payload, and non-finite entries.
+        with the payload, and non-finite entries; the last names the first
+        bad row (0-based in a binary file, its file line in a CSV file).
     """
     path = Path(path)
     if path.suffix == ".csv":
@@ -159,7 +161,8 @@ def load_latents(path) -> np.ndarray:
     arr = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=HEADER_SIZE)
     arr = arr.astype(np.float64).reshape(rows, cols)
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"{path}: NaN or infinite entries")
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
+        raise NonFiniteValue(f"{path}: row {bad} (0-based) holds NaN or infinite entries")
     return arr
 
 
@@ -170,7 +173,7 @@ def save_labels(path, labels) -> None:
 
 
 def load_labels(path, n_expected: int | None = None) -> np.ndarray:
-    """Read one label per line; validates the count and ``as_label_array``."""
+    """Read one label per line; validates the count and ``as_label_array``, naming bad lines."""
     path = Path(path)
     lines = [(n, line.strip()) for n, line in enumerate(path.read_text().splitlines(), 1)
              if line.strip()]
@@ -186,6 +189,10 @@ def load_labels(path, n_expected: int | None = None) -> np.ndarray:
         raise TruncatedFile(
             f"{path}: {values.shape[0]} labels for {n_expected} points"
         )
+    negative = np.flatnonzero(values < 0)
+    if negative.size:
+        number, line = lines[negative[0]]
+        raise LatentFileError(f"{path}: labels must be nonnegative, line {number} holds {line}")
     try:
         return as_label_array(values)
     except ValueError as exc:

@@ -4,8 +4,11 @@ A discrete measure is a finite weighted point cloud; a quantization grid is a
 finite set of pairwise-distinct centroids. The quadratic distortion of a grid
 against a measure is the weighted mean squared distance from each atom to its
 nearest centroid. Every point-to-centroid distance in the package comes from
-one exact kernel, ``squared_distances``. Nearest-centroid ties always resolve
-to the lowest centroid index so that every operation is deterministic.
+one exact kernel, ``squared_distances``, and every nearest-centroid decision
+from one Voronoi pass, which yields the assignment, the nearest squared
+distances, the cell masses and means, and the distortion together.
+Nearest-centroid ties always resolve to the lowest centroid index so that
+every operation is deterministic.
 """
 
 from __future__ import annotations
@@ -163,16 +166,23 @@ class VoronoiPartition:
     ----------
     assignment : ndarray of int, shape (n,)
         Index of the nearest centroid for each atom, ties to the lowest index.
+    nearest_sq : ndarray, shape (n,)
+        Squared distance from each atom to its assigned centroid.
     cell_mass : ndarray, shape (K,)
         Total atom weight in each cell; sums to 1.
     cell_centroid : ndarray, shape (K, d)
         Weight-normalized mean of the atoms in each cell. Rows for empty cells
         (``cell_mass == 0``) are NaN and must not be read as points.
+    distortion : float
+        Quadratic distortion ``weights · nearest_sq``: the squared
+        Wasserstein-2 distance from the measure to its projection.
     """
 
     assignment: np.ndarray
+    nearest_sq: np.ndarray
     cell_mass: np.ndarray
     cell_centroid: np.ndarray
+    distortion: float
 
 
 def _check_same_dim(a_dim: int, b_dim: int) -> None:
@@ -180,41 +190,38 @@ def _check_same_dim(a_dim: int, b_dim: int) -> None:
         raise DimensionError(f"dimension mismatch: {a_dim} vs {b_dim}")
 
 
-def cell_means(
-    atoms: np.ndarray, weights: np.ndarray, assignment: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mass and weighted mean of each of ``k`` cells under an assignment.
+def _nearest(atoms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid per atom (ties low) and its squared distance, read at the argmin."""
+    d2 = squared_distances(atoms, centroids)
+    assignment = np.argmin(d2, axis=1)
+    return assignment, np.take_along_axis(d2, assignment[:, None], axis=1)[:, 0]
 
-    Returns ``(mass, means)`` with shapes (k,) and (k, d); rows of ``means``
-    for empty cells are NaN. Sums run in ascending atom-index order, so
-    results are bitwise reproducible.
-    """
+
+def _partition(
+    atoms: np.ndarray, weights: np.ndarray, centroids: np.ndarray
+) -> VoronoiPartition:
+    """The Voronoi pass on arrays; sums run in atom-index order, so bits reproduce."""
+    assignment, nearest_sq = _nearest(atoms, centroids)
+    k = centroids.shape[0]
     mass = np.bincount(assignment, weights=weights, minlength=k)
     means = np.full((k, atoms.shape[1]), np.nan)
     nonempty = mass > 0
     for axis in range(atoms.shape[1]):
         sums = np.bincount(assignment, weights=weights * atoms[:, axis], minlength=k)
         means[nonempty, axis] = sums[nonempty] / mass[nonempty]
-    return mass, means
+    distortion = float(np.dot(weights, nearest_sq))
+    return VoronoiPartition(assignment, nearest_sq, mass, means, distortion)
 
 
 def voronoi_partition(mu: DiscreteMeasure, grid: QuantizationGrid) -> VoronoiPartition:
     """Assign every atom of ``mu`` to its nearest centroid of ``grid``.
 
-    Returns
-    -------
-    VoronoiPartition
-        Per-atom assignments, per-cell masses, and per-cell weighted centroids
-        (NaN rows for empty cells). Reductions run in ascending atom-index
-        order, so results are bitwise reproducible.
+    Returns the per-atom assignments and nearest squared distances, the
+    per-cell masses and weighted centroids (NaN rows for empty cells), and
+    the distortion.
     """
     _check_same_dim(mu.dim, grid.dim)
-    d2 = squared_distances(mu.atoms, grid.centroids)
-    assignment = np.argmin(d2, axis=1)
-    cell_mass, cell_centroid = cell_means(
-        mu.atoms, mu.weights, assignment, grid.n_centroids
-    )
-    return VoronoiPartition(assignment, cell_mass, cell_centroid)
+    return _partition(mu.atoms, mu.weights, grid.centroids)
 
 
 def quadratic_distortion(mu: DiscreteMeasure, grid: QuantizationGrid) -> float:
@@ -223,9 +230,7 @@ def quadratic_distortion(mu: DiscreteMeasure, grid: QuantizationGrid) -> float:
     Nonnegative; zero exactly when every positive-weight atom coincides with
     some centroid.
     """
-    _check_same_dim(mu.dim, grid.dim)
-    d2 = squared_distances(mu.atoms, grid.centroids)
-    return float(np.dot(mu.weights, d2.min(axis=1)))
+    return voronoi_partition(mu, grid).distortion
 
 
 def distortion_gradient(mu: DiscreteMeasure, grid: QuantizationGrid) -> np.ndarray:
@@ -235,16 +240,9 @@ def distortion_gradient(mu: DiscreteMeasure, grid: QuantizationGrid) -> np.ndarr
     empty cells are zero. The gradient vanishes exactly when every nonempty
     cell's centroid sits at its cell's weighted mean.
     """
-    _check_same_dim(mu.dim, grid.dim)
     part = voronoi_partition(mu, grid)
-    grad = np.zeros_like(grid.centroids)
-    nonempty = part.cell_mass > 0
-    grad[nonempty] = (
-        2.0
-        * part.cell_mass[nonempty, None]
-        * (grid.centroids[nonempty] - part.cell_centroid[nonempty])
-    )
-    return grad
+    pull = 2.0 * part.cell_mass[:, None] * (grid.centroids - part.cell_centroid)
+    return np.where(part.cell_mass[:, None] > 0, pull, 0.0)
 
 
 def project_to_grid(mu: DiscreteMeasure, grid: QuantizationGrid) -> DiscreteMeasure:

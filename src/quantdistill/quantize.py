@@ -9,7 +9,9 @@ the weights are the win shares ``counts / n_steps``.
 
 Lloyd refinement is the batch counterpart: each centroid jumps to the weighted
 mean of its cell until centroids stop moving. Empty cells are reseeded at the
-currently worst-served atom, which never increases the distortion.
+currently worst-served atom, which never increases the distortion. A run
+returns one ``LloydFit`` holding the final grid and the Voronoi partition that
+scored it.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from .errors import (
 from .measures import (
     DiscreteMeasure,
     QuantizationGrid,
+    VoronoiPartition,
     _check_same_dim,
+    _nearest,
+    _partition,
     as_point_array,
-    cell_means,
     squared_distances,
 )
 
@@ -216,10 +220,6 @@ class WeightedQuantization:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "weights", weights)
 
-    def measure(self) -> DiscreteMeasure:
-        """The weighted point cloud (centroids, weights) as a measure."""
-        return DiscreteMeasure.from_unnormalized(self.grid.centroids.copy(), self.weights)
-
 
 def _seeding_pool(source, rng: np.random.Generator, n_centroids: int):
     """Atoms and weights to seed from: the measure itself, or a sampled pool."""
@@ -403,19 +403,26 @@ def minibatch_kmeans(
 
 
 @dataclass(frozen=True)
-class LloydInfo:
-    """Diagnostics from a Lloyd run.
+class LloydFit:
+    """Result of a Lloyd run.
 
-    ``distortion_history[0]`` is the starting distortion and each later entry
-    follows one update; the sequence never increases, and its last entry is
-    the distortion of the returned grid. ``empty_cells_resolved``
-    counts reseeded centroids across all iterations.
+    ``partition`` is the final grid's Voronoi partition, the pass that scored
+    the last iteration. ``distortion_history[0]`` is the starting distortion
+    and each later entry follows one update; the sequence never increases,
+    and its last entry is ``distortion``. ``empty_cells_resolved`` counts
+    reseeded centroids across all iterations.
     """
 
+    grid: QuantizationGrid
+    partition: VoronoiPartition
     n_iterations: int
     converged: bool
     distortion_history: np.ndarray
     empty_cells_resolved: int
+
+    @property
+    def distortion(self) -> float:
+        return self.partition.distortion
 
 
 def _worst_served_atom(atoms: np.ndarray, centroids: np.ndarray) -> int:
@@ -426,9 +433,9 @@ def _worst_served_atom(atoms: np.ndarray, centroids: np.ndarray) -> int:
     InsufficientPoints
         If every atom already sits on a centroid.
     """
-    dmin = squared_distances(atoms, centroids).min(axis=1)
-    worst = int(np.argmax(dmin))
-    if dmin[worst] <= 0.0:
+    _, nearest_sq = _nearest(atoms, centroids)
+    worst = int(np.argmax(nearest_sq))
+    if nearest_sq[worst] <= 0.0:
         raise InsufficientPoints(
             "cannot place another centroid: every atom already sits on a centroid"
         )
@@ -452,12 +459,7 @@ def _augment_grid(
     return grown
 
 
-def lloyd(
-    mu: DiscreteMeasure,
-    init: QuantizationGrid,
-    *,
-    return_info: bool = False,
-):
+def lloyd(mu: DiscreteMeasure, init: QuantizationGrid) -> LloydFit:
     """Batch centroid refinement to a fixed point of the cell-mean map.
 
     Repeats: assign atoms to nearest centroids, move each centroid to its
@@ -466,53 +468,43 @@ def lloyd(
     that atom and costs nothing elsewhere, so the distortion never increases
     (checked every iteration). Stops when the largest centroid displacement
     is at most ``LLOYD_DEFAULT_TOL`` or after ``LLOYD_DEFAULT_MAX_ITERATIONS``.
-
-    Returns the final grid, or ``(grid, LloydInfo)`` when ``return_info``.
     """
     _check_same_dim(mu.dim, init.dim)
     atoms, weights = mu.atoms, mu.weights
     x = init.centroids.copy()
-    k = x.shape[0]
-    # The distances that score the current centroids also assign the atoms
-    # for the next update, so each iteration makes one distance pass.
-    d2 = squared_distances(atoms, x)
-    history = [float(np.dot(weights, d2.min(axis=1)))]
+    # The partition that scores the current centroids also holds the cell
+    # means of the next update, so each iteration makes one Voronoi pass.
+    part = _partition(atoms, weights, x)
+    history = [part.distortion]
     resolved = 0
     for _ in range(LLOYD_DEFAULT_MAX_ITERATIONS):
-        mass, means = cell_means(atoms, weights, np.argmin(d2, axis=1), k)
-        nonempty = mass > 0
-        new_x = np.where(nonempty[:, None], means, x)
+        nonempty = part.cell_mass > 0
+        new_x = np.where(nonempty[:, None], part.cell_centroid, x)
         for j in np.flatnonzero(~nonempty):
             new_x[j] = atoms[_worst_served_atom(atoms, new_x)]
             resolved += 1
         displacement = float(np.sqrt(((new_x - x) ** 2).sum(axis=1).max()))
         x = new_x
-        d2 = squared_distances(atoms, x)
-        current = float(np.dot(weights, d2.min(axis=1)))
-        if current > history[-1] + 1e-12 * (1.0 + history[-1]):
+        part = _partition(atoms, weights, x)
+        if part.distortion > history[-1] + 1e-12 * (1.0 + history[-1]):
             raise QuantDistillError(
-                f"Lloyd distortion rose from {history[-1]!r} to {current!r}"
+                f"Lloyd distortion rose from {history[-1]!r} to {part.distortion!r}"
             )
-        history.append(current)
+        history.append(part.distortion)
         if displacement <= LLOYD_DEFAULT_TOL:
             break
-    grid = QuantizationGrid(x)
-    if not return_info:
-        return grid
     converged = displacement <= LLOYD_DEFAULT_TOL
-    info = LloydInfo(len(history) - 1, converged, np.asarray(history), resolved)
-    return grid, info
+    return LloydFit(
+        QuantizationGrid(x), part, len(history) - 1, converged, np.asarray(history), resolved
+    )
 
 
-def best_lloyd(mu: DiscreteMeasure, starts) -> tuple[float, QuantizationGrid]:
-    """Refine every start with ``lloyd`` and keep the lowest final distortion.
+def best_lloyd(mu: DiscreteMeasure, starts) -> LloydFit:
+    """Refine every start with ``lloyd`` and return the fit of lowest distortion.
 
-    Returns ``(distortion, grid)``; ties go to the earliest start, and an
-    empty ``starts`` raises ValueError.
+    Ties go to the earliest start, and an empty ``starts`` raises ValueError.
     """
-    fits = [lloyd(mu, start, return_info=True) for start in starts]
-    grid, info = min(fits, key=lambda fit: fit[1].distortion_history[-1])
-    return float(info.distortion_history[-1]), grid
+    return min((lloyd(mu, start) for start in starts), key=lambda fit: fit.distortion)
 
 
 def variance_reduced_weights(counts) -> np.ndarray:

@@ -21,9 +21,8 @@ from .measures import (
     as_label_array,
     as_point,
     as_point_array,
-    project_to_grid,
-    quadratic_distortion,
     squared_distances,
+    voronoi_partition,
 )
 
 GAP_SLACK = 1e-9
@@ -137,8 +136,9 @@ def check_lipschitz_gap(
     ``nu`` is the nearest-centroid projection of ``mu`` onto the grid.
     ``passed`` allows an absolute slack of 1e-9 for rounding.
     """
-    nu = project_to_grid(mu, grid)
-    root_distortion = float(np.sqrt(quadratic_distortion(mu, grid)))
+    part = voronoi_partition(mu, grid)
+    nu = DiscreteMeasure.from_unnormalized(grid.centroids.copy(), part.cell_mass)
+    root_distortion = float(np.sqrt(part.distortion))
     reports = []
     for f in functions:
         gap = abs(weighted_expectation(f, mu) - weighted_expectation(f, nu))

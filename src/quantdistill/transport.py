@@ -212,17 +212,17 @@ def rate_scan(
     rng = as_generator(seed)
     mu = DiscreteMeasure.uniform(sampler.draw(rng, n_samples))
     errors = np.empty(levels.shape[0])
-    best_grid = None
+    best = None
     for li, k in enumerate(levels):
         candidates = [init_grid(mu, int(k), "dsquared", rng) for _ in range(n_restarts)]
-        if best_grid is not None:
+        if best is not None:
             grown = _augment_grid(
-                mu.atoms, best_grid.centroids, int(k) - best_grid.n_centroids
+                mu.atoms, best.grid.centroids, int(k) - best.grid.n_centroids
             )
             if grown is not None:
                 candidates.append(QuantizationGrid(grown))
-        distortion, best_grid = best_lloyd(mu, candidates)
-        errors[li] = np.sqrt(distortion)
+        best = best_lloyd(mu, candidates)
+        errors[li] = np.sqrt(best.distortion)
     if np.any(errors <= 0.0):
         raise ValueError("zero quantization error; slope is undefined at this scale")
     slope = float(np.polyfit(np.log(levels.astype(np.float64)), np.log(errors), 1)[0])

@@ -211,7 +211,7 @@ def check_interval_quantizer_error(seed: int) -> list[CheckRecord]:
     mu = DiscreteMeasure.uniform(rng.random((20000, 1)))
     worst = 0.0
     for k in (1, 2, 4):
-        best, _ = best_lloyd(mu, [init_grid(mu, k, "dsquared", rng) for _ in range(5)])
+        best = best_lloyd(mu, [init_grid(mu, k, "dsquared", rng) for _ in range(5)]).distortion
         target = 1.0 / (12.0 * k * k)
         worst = max(worst, abs(best - target) / target)
     return [
@@ -540,7 +540,7 @@ def check_weighting_reduction(seed: int) -> list[CheckRecord]:
     for rep in range(10):
         rng = _rng(seed, 11, rep)
         mu = _skewed_clusters(rng, 300)
-        _, grid = best_lloyd(mu, [init_grid(mu, 3, "dsquared", rng) for _ in range(3)])
+        grid = best_lloyd(mu, [init_grid(mu, 3, "dsquared", rng) for _ in range(3)]).grid
         comparison = compare_weighting(mu, grid)
         reductions.append(comparison.reduction_fraction)
         worst_excess = max(
@@ -588,11 +588,11 @@ def check_gradient_discrepancy_weighting(seed: int) -> list[CheckRecord]:
             full_points.append(pts)
             full_labels.append(np.full(40, c, dtype=np.intp))
             mu = DiscreteMeasure.uniform(pts)
-            grid = lloyd(mu, init_grid(mu, 2, "dsquared", rng))
-            projected = project_to_grid(mu, grid)
-            distilled_points.append(grid.centroids)
+            fit = lloyd(mu, init_grid(mu, 2, "dsquared", rng))
+            mass = fit.partition.cell_mass
+            distilled_points.append(fit.grid.centroids)
             distilled_labels.append(np.full(2, c, dtype=np.intp))
-            mass_weights.append(np.maximum(projected.weights, 1e-12))
+            mass_weights.append(np.maximum(mass / mass.sum(), 1e-12))
             uniform_weights.append(np.ones(2))
         full = WeightedDataset(
             np.vstack(full_points),

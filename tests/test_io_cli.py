@@ -198,6 +198,50 @@ def test_load_latents_csv_names_the_file_line_after_a_blank_line(tmp_path):
         load_latents(path)
 
 
+def _binary_latents(rows) -> bytes:
+    arr = np.asarray(rows, dtype="<f8")
+    return (
+        MAGIC + struct.pack("<I", 1) + struct.pack("<Q", arr.shape[0])
+        + struct.pack("<Q", arr.shape[1]) + arr.tobytes()
+    )
+
+
+def test_load_latents_names_the_first_nonfinite_row(tmp_path):
+    binary = tmp_path / "cloud.bin"
+    binary.write_bytes(_binary_latents([[0.0, 1.0], [2.0, 3.0], [4.0, np.inf], [np.nan, 5.0]]))
+    with pytest.raises(NonFiniteValue, match=r"row 2 \(0-based\) holds NaN or infinite"):
+        load_latents(binary)
+    csv = tmp_path / "cloud.csv"
+    csv.write_text("dim0,dim1\n1,2\nnan,3\n\n4,inf\n")
+    with pytest.raises(NonFiniteValue, match="line 3 holds NaN or infinite"):
+        load_latents(csv)
+
+
+def test_load_labels_names_the_line_of_the_first_negative_label(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("0\n\n1\n-2\n-1\n")
+    with pytest.raises(LatentFileError, match="line 4 holds -2"):
+        load_labels(path)
+
+
+def test_cli_distill_names_the_nonfinite_row(tmp_path, capsys):
+    latents, labels_path = write_demo_files(tmp_path)
+    points = load_latents(latents)
+    points[7, 1] = np.inf
+    latents.write_bytes(_binary_latents(points))
+    status = cli.main(
+        [
+            "distill",
+            "--latents", str(latents),
+            "--labels", str(labels_path),
+            "--ipc", "3",
+            "--out", str(tmp_path / "distilled.json"),
+        ]
+    )
+    assert status == 2
+    assert "row 7 (0-based) holds NaN or infinite" in capsys.readouterr().err
+
+
 def _write_half_then_fail(path, data):
     with open(path, "wb") as handle:
         handle.write(data[: len(data) // 2])

@@ -79,6 +79,58 @@ def test_squared_distances_kernel_properties(pair):
     assert np.array_equal(np.argmin(doubled, axis=1), np.argmin(d2, axis=1))
 
 
+@st.composite
+def weighted_clouds(draw):
+    """Atoms (n, d), nonnegative weights (n,) and centroids (K, d), n, K <= 8, d <= 4.
+
+    Coordinates are small integers half the time, so exact distance ties occur.
+    """
+    n, k, d = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    coords = draw(st.sampled_from([st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)]))
+    return (
+        draw(hnp.arrays(np.float64, (n, d), elements=coords)),
+        draw(hnp.arrays(np.float64, (n,), elements=st.floats(0.0, 1.0))),
+        draw(hnp.arrays(np.float64, (k, d), elements=coords)),
+    )
+
+
+def _brute_force_partition(atoms, weights, centroids):
+    """Nearest centroid, its squared distance and the cell sums, by plain loops."""
+    d2 = squared_distances(atoms, centroids)
+    assignment = np.argmin(d2, axis=1)
+    nearest_sq = d2.min(axis=1)
+    k, d = centroids.shape
+    mass = np.zeros(k)
+    sums = np.zeros((k, d))
+    for i, j in enumerate(assignment):
+        mass[j] += weights[i]
+        sums[j] += weights[i] * atoms[i]
+    means = np.full((k, d), np.nan)
+    means[mass > 0] = sums[mass > 0] / mass[mass > 0, None]
+    return assignment, nearest_sq, mass, means, float(np.dot(weights, nearest_sq))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_clouds())
+def test_partition_matches_a_brute_force_pass(cloud):
+    atoms, weights, centroids = cloud
+    part = measures._partition(atoms, weights, centroids)
+    expected = _brute_force_partition(atoms, weights, centroids)
+    got = (part.assignment, part.nearest_sq, part.cell_mass, part.cell_centroid, part.distortion)
+    for name, ours, theirs in zip(("assignment", "nearest_sq", "mass", "means", "distortion"),
+                                  got, expected):
+        assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes(), name
+    # Every centroid listed twice: each distance ties with its copy's, the
+    # lower copy wins, and the upper copies' cells are empty NaN rows.
+    k = centroids.shape[0]
+    doubled = measures._partition(atoms, weights, np.vstack([centroids, centroids]))
+    assert np.array_equal(doubled.assignment, part.assignment)
+    assert np.array_equal(doubled.nearest_sq, part.nearest_sq)
+    assert not np.any(doubled.cell_mass[k:])
+    assert np.isnan(doubled.cell_centroid[k:]).all()
+    assert doubled.distortion == part.distortion
+
+
 def test_as_label_array_accepts_the_range_in_any_order():
     out = measures.as_label_array(np.array([2, 0, 1, 0], dtype=np.int32), 4)
     assert out.dtype == np.intp

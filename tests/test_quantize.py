@@ -1,9 +1,11 @@
 """Tests for samplers, online competitive learning, and Lloyd refinement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from quantdistill import quantize
+from quantdistill import measures, quantize
 from quantdistill.errors import (
     DimensionError,
     EmptyCluster,
@@ -225,30 +227,29 @@ def test_lloyd_two_clusters_lands_on_means():
     right = 10.0 + rng.normal(size=(100, 1)) * 0.05
     mu = DiscreteMeasure.uniform(np.vstack([left, right]))
     init = QuantizationGrid(np.array([[1.0], [9.0]]))
-    grid, info = lloyd(mu, init, return_info=True)
-    assert info.converged
+    fit = lloyd(mu, init)
+    assert fit.converged
     np.testing.assert_allclose(
-        np.sort(grid.centroids[:, 0]),
+        np.sort(fit.grid.centroids[:, 0]),
         [left.mean(), right.mean()],
         atol=1e-10,
     )
-    assert np.all(np.diff(info.distortion_history) <= 1e-12)
+    assert np.all(np.diff(fit.distortion_history) <= 1e-12)
 
 
 def test_lloyd_reseeds_empty_cell():
     mu = DiscreteMeasure.uniform(np.array([[0.0], [1.0], [5.0]]))
     init = QuantizationGrid(np.array([[0.5], [100.0]]))
-    grid, info = lloyd(mu, init, return_info=True)
-    assert info.empty_cells_resolved >= 1
+    fit = lloyd(mu, init)
+    assert fit.empty_cells_resolved >= 1
     # The reseeded centroid must serve the isolated atom.
-    part = voronoi_partition(mu, grid)
-    assert np.all(part.cell_mass > 0)
+    assert np.all(fit.partition.cell_mass > 0)
 
 
 def test_lloyd_exact_cover_gives_zero_distortion():
     atoms = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     mu = DiscreteMeasure.uniform(atoms)
-    grid = lloyd(mu, QuantizationGrid(atoms + 0.01))
+    grid = lloyd(mu, QuantizationGrid(atoms + 0.01)).grid
     np.testing.assert_allclose(quadratic_distortion(mu, grid), 0.0, atol=1e-20)
 
 
@@ -257,8 +258,7 @@ def test_lloyd_never_increases_distortion_from_random_starts():
     mu = DiscreteMeasure.uniform(rng.normal(size=(150, 2)))
     for _ in range(5):
         init = QuantizationGrid(rng.normal(size=(4, 2)))
-        _, info = lloyd(mu, init, return_info=True)
-        history = info.distortion_history
+        history = lloyd(mu, init).distortion_history
         assert np.all(np.diff(history) <= 1e-12 * (1.0 + history[:-1]))
 
 
@@ -280,19 +280,27 @@ def test_lloyd_makes_one_distance_pass_per_iteration(monkeypatch, case):
         calls.append(1)
         return squared_distances(points, centroids)
 
-    monkeypatch.setattr(quantize, "squared_distances", counted)
+    monkeypatch.setattr(measures, "squared_distances", counted)
     mu = DiscreteMeasure.uniform(atoms)
-    _, info = lloyd(mu, QuantizationGrid(start), return_info=True)
-    assert (case == "reseed") == (info.empty_cells_resolved > 0)
-    assert len(calls) == 1 + info.n_iterations + info.empty_cells_resolved
+    fit = lloyd(mu, QuantizationGrid(start))
+    assert (case == "reseed") == (fit.empty_cells_resolved > 0)
+    assert len(calls) == 1 + fit.n_iterations + fit.empty_cells_resolved
 
 
 @pytest.mark.parametrize("case", list(LLOYD_CASES))
 def test_lloyd_last_distortion_is_the_final_grids_distortion(case):
     atoms, start = LLOYD_CASES[case]
     mu = DiscreteMeasure.uniform(atoms)
-    grid, info = lloyd(mu, QuantizationGrid(start), return_info=True)
-    assert info.distortion_history[-1] == quadratic_distortion(mu, grid)
+    fit = lloyd(mu, QuantizationGrid(start))
+    assert fit.distortion_history[-1] == quadratic_distortion(mu, fit.grid)
+    assert fit.distortion == fit.distortion_history[-1]
+    # Lloyd returns the partition it scored the final grid with: the same
+    # pass, field for field and bit for bit, as a fresh one.
+    fresh = voronoi_partition(mu, fit.grid)
+    for field in dataclasses.fields(fresh):
+        ours, theirs = getattr(fit.partition, field.name), getattr(fresh, field.name)
+        assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes(), field.name
+        assert np.asarray(ours).dtype == np.asarray(theirs).dtype, field.name
 
 
 def test_lloyd_raises_when_distortion_rises(monkeypatch):
@@ -302,7 +310,7 @@ def test_lloyd_raises_when_distortion_rises(monkeypatch):
         calls.append(1)
         return squared_distances(points, centroids) * len(calls)
 
-    monkeypatch.setattr(quantize, "squared_distances", inflating)
+    monkeypatch.setattr(measures, "squared_distances", inflating)
     atoms, start = LLOYD_CASES["plain"]
     with pytest.raises(QuantDistillError, match="distortion rose"):
         lloyd(DiscreteMeasure.uniform(atoms), QuantizationGrid(start))
@@ -312,10 +320,10 @@ def test_best_lloyd_keeps_the_lowest_distortion():
     rng = np.random.default_rng(21)
     mu = DiscreteMeasure.uniform(rng.random((300, 2)))
     starts = [init_grid(mu, 5, "random_subset", rng) for _ in range(4)]
-    distortion, grid = best_lloyd(mu, starts)
-    finals = [quadratic_distortion(mu, lloyd(mu, start)) for start in starts]
-    assert distortion == min(finals)
-    assert quadratic_distortion(mu, grid) == distortion
+    best = best_lloyd(mu, starts)
+    finals = [quadratic_distortion(mu, lloyd(mu, start).grid) for start in starts]
+    assert best.distortion == min(finals)
+    assert quadratic_distortion(mu, best.grid) == best.distortion
 
 
 def test_best_lloyd_ties_go_to_the_earliest_start():
@@ -324,11 +332,15 @@ def test_best_lloyd_ties_go_to_the_earliest_start():
     mu = DiscreteMeasure.uniform(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     columns = QuantizationGrid(np.array([[0.0, 0.0], [1.0, 0.0]]))
     rows = QuantizationGrid(np.array([[0.0, 0.0], [0.0, 1.0]]))
-    assert not np.array_equal(lloyd(mu, columns).centroids, lloyd(mu, rows).centroids)
+    assert not np.array_equal(
+        lloyd(mu, columns).grid.centroids, lloyd(mu, rows).grid.centroids
+    )
     for starts in ([columns, rows], [rows, columns]):
-        distortion, grid = best_lloyd(mu, starts)
-        assert distortion == 0.25
-        np.testing.assert_array_equal(grid.centroids, lloyd(mu, starts[0]).centroids)
+        best = best_lloyd(mu, starts)
+        assert best.distortion == 0.25
+        np.testing.assert_array_equal(
+            best.grid.centroids, lloyd(mu, starts[0]).grid.centroids
+        )
     with pytest.raises(ValueError):
         best_lloyd(mu, [])
 
