@@ -31,7 +31,6 @@ def main():
         schedule=StepSchedule.harmonic(1.0, 10.0),
         n_steps=100000,
         seed=0,
-        record_distortion=True,
     )
     order = np.argsort(result.grid.centroids[:, 0])
     centroids = result.grid.centroids[order, 0]

@@ -159,9 +159,9 @@ def cmd_rate_scan(args) -> int:
             "dim": args.dim,
             "samples": args.samples,
             "restarts": args.restarts,
-            "levels": [int(k) for k in scan.levels],
-            "errors": [float(e) for e in scan.errors],
-            "fitted_slope": float(scan.fitted_slope),
+            "levels": scan.levels,
+            "errors": scan.errors,
+            "fitted_slope": scan.fitted_slope,
         }
         latentio.save_document(args.out, latentio.RATE_SCAN_FORMAT, doc)
         print(f"wrote {args.out}")
@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
             "seed": seed,
             "n_checks": len(records),
             "n_passed": int(n_passed),
-            "checks": [record.to_document() for record in records],
+            "checks": records,
         }
         latentio.save_document(args.out, latentio.VERIFICATION_FORMAT, doc)
     return 0 if n_passed == len(records) else 1

@@ -117,6 +117,16 @@ def _mixture_logits(ref: ReferenceLaw, scale: float, var: float, x: np.ndarray):
     return log_w[None, :] - sq / (2.0 * var), means
 
 
+def _as_batch(ref: ReferenceLaw, x):
+    """``x`` as an (n, d) float array, and whether it was a single point."""
+    arr = np.asarray(x, dtype=np.float64)
+    single = arr.ndim == 1
+    batch = arr[None, :] if single else arr
+    if batch.ndim != 2 or batch.shape[1] != ref.dim:
+        raise DimensionError(f"points must have dimension {ref.dim}")
+    return batch, single
+
+
 def analytic_score(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.ndarray:
     """Gradient of the log marginal density at time t.
 
@@ -127,11 +137,7 @@ def analytic_score(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.ndarray:
     gracefully to the nearest component's pull.
     """
     scale, var = _marginal_params(sde, t)
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    batch = arr[None, :] if single else arr
-    if batch.ndim != 2 or batch.shape[1] != ref.dim:
-        raise DimensionError(f"points must have dimension {ref.dim}")
+    batch, single = _as_batch(ref, x)
     logits, means = _mixture_logits(ref, scale, var, batch)
     resp = softmax(logits, axis=1)
     score = (resp @ means - batch) / var
@@ -141,11 +147,7 @@ def analytic_score(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.ndarray:
 def log_marginal_density(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.ndarray:
     """Log density of the noised reference law at time t."""
     scale, var = _marginal_params(sde, t)
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    batch = arr[None, :] if single else arr
-    if batch.ndim != 2 or batch.shape[1] != ref.dim:
-        raise DimensionError(f"points must have dimension {ref.dim}")
+    batch, single = _as_batch(ref, x)
     logits, _ = _mixture_logits(ref, scale, var, batch)
     out = logsumexp(logits, axis=1) - 0.5 * ref.dim * np.log(2.0 * np.pi * var)
     return float(out[0]) if single else out

@@ -7,16 +7,22 @@ payload; the declared counts must match the payload exactly. Files named
 one nonnegative integer per line and must cover a contiguous range starting
 at 0. Pipeline documents are one line of JSON whose floats are spelled in the
 shortest form that round-trips binary64 exactly, so reruns are byte-identical;
-older multi-line documents with 17-digit floats load to the same values. Every
-writer renames a finished temporary file over its target, so an interrupted
-run leaves either the old file or the new one.
+older multi-line documents with 17-digit floats load to the same values. After
+its ``format`` tag and ``format_version``, a result document is its dataclass's
+fields in declaration order (a ``TransportedResult`` keeps its ``SdeSpec`` under
+``process``, distilled ``counts`` are integers), read back by following the
+field annotations. Every writer renames a finished temporary file over its
+target, so an interrupted run leaves either the old file or the new one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +34,7 @@ from .errors import (
     EmptyFile,
     LatentFileError,
     NonFiniteValue,
+    QuantDistillError,
     TruncatedFile,
 )
 from .measures import as_label_array
@@ -36,9 +43,6 @@ MAGIC = b"OQDL"
 BINARY_VERSION = 1
 HEADER_SIZE = 4 + 4 + 8 + 8
 DOCUMENT_VERSION = 1
-DISTILLATION_FORMAT = "quantdistill.distillation"
-TRANSPORTED_FORMAT = "quantdistill.transported"
-TRAIN_REPORT_FORMAT = "quantdistill.train_report"
 VERIFICATION_FORMAT = "quantdistill.verification"
 RATE_SCAN_FORMAT = "quantdistill.rate_scan"
 
@@ -199,13 +203,6 @@ def load_labels(path, n_expected: int | None = None) -> np.ndarray:
         raise LatentFileError(f"{path}: {exc}") from None
 
 
-def _finite_array(doc_values, name: str, dtype=np.float64) -> np.ndarray:
-    arr = np.asarray(doc_values, dtype=dtype)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"{name} holds non-finite values")
-    return arr
-
-
 @dataclass(frozen=True)
 class ClassQuantization:
     """One class's distilled centroids with counts and both weight vectors."""
@@ -215,25 +212,6 @@ class ClassQuantization:
     counts: np.ndarray
     weights: np.ndarray
     variance_reduced: np.ndarray
-
-    def to_document(self) -> dict:
-        return {
-            "label": int(self.label),
-            "centroids": self.centroids,
-            "counts": [int(v) for v in self.counts],
-            "weights": self.weights,
-            "variance_reduced": self.variance_reduced,
-        }
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "ClassQuantization":
-        return cls(
-            label=int(doc["label"]),
-            centroids=_finite_array(doc["centroids"], "centroids"),
-            counts=_finite_array(doc["counts"], "counts"),
-            weights=_finite_array(doc["weights"], "weights"),
-            variance_reduced=_finite_array(doc["variance_reduced"], "variance_reduced"),
-        )
 
 
 @dataclass(frozen=True)
@@ -249,57 +227,6 @@ class DistillationResult:
     init_strategy: str
     classes: tuple[ClassQuantization, ...]
 
-    def to_document(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "per_class": int(self.per_class),
-            "dim": int(self.dim),
-            "schedule": self.schedule,
-            "batch_size": int(self.batch_size),
-            "n_iterations": int(self.n_iterations),
-            "init_strategy": self.init_strategy,
-            "classes": [c.to_document() for c in self.classes],
-        }
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "DistillationResult":
-        return cls(
-            seed=int(doc["seed"]),
-            per_class=int(doc["per_class"]),
-            dim=int(doc["dim"]),
-            schedule=str(doc["schedule"]),
-            batch_size=int(doc["batch_size"]),
-            n_iterations=int(doc["n_iterations"]),
-            init_strategy=str(doc["init_strategy"]),
-            classes=tuple(ClassQuantization.from_document(c) for c in doc["classes"]),
-        )
-
-
-def report_to_document(report: BoundReport) -> dict:
-    return {
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "mc_stderr": report.mc_stderr,
-        "ratio": report.ratio,
-        "passed": bool(report.passed),
-        "wasserstein": report.wasserstein,
-        "constant": report.constant,
-        "lipschitz_bound": report.lipschitz_bound,
-    }
-
-
-def report_from_document(doc: dict) -> BoundReport:
-    return BoundReport(
-        lhs=float(doc["lhs"]),
-        rhs=float(doc["rhs"]),
-        mc_stderr=float(doc["mc_stderr"]),
-        ratio=float(doc["ratio"]),
-        passed=bool(doc["passed"]),
-        wasserstein=float(doc["wasserstein"]),
-        constant=float(doc["constant"]),
-        lipschitz_bound=float(doc["lipschitz_bound"]),
-    )
-
 
 @dataclass(frozen=True)
 class ClassTransport:
@@ -310,64 +237,16 @@ class ClassTransport:
     weights: np.ndarray
     report: BoundReport
 
-    def to_document(self) -> dict:
-        return {
-            "label": int(self.label),
-            "atoms": self.atoms,
-            "weights": self.weights,
-            "report": report_to_document(self.report),
-        }
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "ClassTransport":
-        return cls(
-            label=int(doc["label"]),
-            atoms=_finite_array(doc["atoms"], "atoms"),
-            weights=_finite_array(doc["weights"], "weights"),
-            report=report_from_document(doc["report"]),
-        )
-
 
 @dataclass(frozen=True)
 class TransportedResult:
     """Reverse-transported distillation with per-class bound reports."""
 
     seed: int
-    sde: SdeSpec
+    process: SdeSpec
     n_mc: int
     test_function: str
     classes: tuple[ClassTransport, ...]
-
-    def to_document(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "process": {
-                "kind": self.sde.kind,
-                "horizon": self.sde.horizon,
-                "early_stop": self.sde.early_stop,
-                "n_steps": int(self.sde.n_steps),
-            },
-            "n_mc": int(self.n_mc),
-            "test_function": self.test_function,
-            "classes": [c.to_document() for c in self.classes],
-        }
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "TransportedResult":
-        proc = doc["process"]
-        sde = SdeSpec(
-            kind=str(proc["kind"]),
-            horizon=float(proc["horizon"]),
-            early_stop=float(proc["early_stop"]),
-            n_steps=int(proc["n_steps"]),
-        )
-        return cls(
-            seed=int(doc["seed"]),
-            sde=sde,
-            n_mc=int(doc["n_mc"]),
-            test_function=str(doc["test_function"]),
-            classes=tuple(ClassTransport.from_document(c) for c in doc["classes"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -384,38 +263,77 @@ class TrainReport:
     eval_accuracy: float | None
     theta: np.ndarray
 
-    def to_document(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "model": self.model,
-            "weight_mode": self.weight_mode,
-            "learning_rate": self.learning_rate,
-            "epochs": int(self.epochs),
-            "final_loss": self.final_loss,
-            "train_accuracy": self.train_accuracy,
-            "eval_accuracy": self.eval_accuracy,
-            "theta": self.theta,
-        }
 
-    @classmethod
-    def from_document(cls, doc: dict) -> "TrainReport":
-        eval_acc = doc["eval_accuracy"]
-        return cls(
-            seed=int(doc["seed"]),
-            model=str(doc["model"]),
-            weight_mode=str(doc["weight_mode"]),
-            learning_rate=float(doc["learning_rate"]),
-            epochs=int(doc["epochs"]),
-            final_loss=float(doc["final_loss"]),
-            train_accuracy=float(doc["train_accuracy"]),
-            eval_accuracy=None if eval_acc is None else float(eval_acc),
-            theta=_finite_array(doc["theta"], "theta"),
-        )
+# The document tag of each result type.
+_FORMATS = {
+    DistillationResult: "quantdistill.distillation",
+    TransportedResult: "quantdistill.transported",
+    TrainReport: "quantdistill.train_report",
+}
 
 
-def save_document(path, fmt: str, body: dict) -> None:
-    """Write ``body`` after a ``format`` tag and ``format_version``, as one JSON line."""
-    doc = {"format": fmt, "format_version": DOCUMENT_VERSION, **body}
+def _encode(value):
+    """The JSON form of ``value``: a dataclass is its fields in declaration order."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    return value  # render_json writes NumPy values through tolist()
+
+
+def _decode(kind, value, name: str):
+    """Rebuild a ``kind`` from its JSON form, following the type annotations.
+
+    Dataclasses and ``tuple[X, ...]`` recurse and ``X | None`` accepts null.
+    Arrays must be numeric and finite: int64 when every entry is a JSON
+    integer, float64 otherwise. Scalars are coerced by calling their type.
+    Errors name ``name``, the value's path in the document.
+    """
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} is not an object")
+        hints = typing.get_type_hints(kind)
+        fields = {}
+        for f in dataclasses.fields(kind):
+            if not f.init:
+                continue
+            path = f"{name}.{f.name}" if name else f.name
+            if f.name not in value:
+                raise ValueError(f"{path} is missing")
+            fields[f.name] = _decode(hints[f.name], value[f.name], path)
+        try:
+            return kind(**fields)
+        except (ValueError, QuantDistillError) as exc:
+            raise ValueError(f"{name or kind.__name__}: {exc}") from None
+    origin = typing.get_origin(kind)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{name} is not a list")
+        (item, _) = typing.get_args(kind)
+        return tuple(_decode(item, v, f"{name}[{i}]") for i, v in enumerate(value))
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _decode(typing.get_args(kind)[0], value, name)
+    if kind is np.ndarray:
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # a ragged list
+            arr = None
+        if arr is None or arr.dtype.kind not in "if":
+            raise ValueError(f"{name} is not a numeric array")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteValue(f"{name} holds non-finite values")
+        return arr.astype(np.int64 if arr.dtype.kind == "i" else np.float64, copy=False)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not a valid {kind.__name__}") from None
+
+
+def save_document(path, fmt: str, body) -> None:
+    """Write ``body``, a dict or a result, after a ``format`` tag and ``format_version``."""
+    doc = {"format": fmt, "format_version": DOCUMENT_VERSION, **_encode(body)}
     _write_atomically(path, (render_json(doc) + "\n").encode())
 
 
@@ -442,37 +360,37 @@ def load_document(path, fmt: str) -> dict:
     return doc
 
 
+def _load(path, kind):
+    """Read a ``kind`` result document; every error names ``path`` and the field."""
+    fmt = _FORMATS[kind]
+    doc = load_document(path, fmt)
+    try:
+        return _decode(kind, doc, "")
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"{path}: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LatentFileError(f"{path}: malformed {fmt} document: {exc}") from None
+
+
 def save_distillation(path, result: DistillationResult) -> None:
-    save_document(path, DISTILLATION_FORMAT, result.to_document())
+    save_document(path, _FORMATS[DistillationResult], result)
 
 
 def load_distillation(path) -> DistillationResult:
-    doc = load_document(path, DISTILLATION_FORMAT)
-    try:
-        return DistillationResult.from_document(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LatentFileError(f"{path}: malformed distillation document: {exc}") from None
+    return _load(path, DistillationResult)
 
 
 def save_transported(path, result: TransportedResult) -> None:
-    save_document(path, TRANSPORTED_FORMAT, result.to_document())
+    save_document(path, _FORMATS[TransportedResult], result)
 
 
 def load_transported(path) -> TransportedResult:
-    doc = load_document(path, TRANSPORTED_FORMAT)
-    try:
-        return TransportedResult.from_document(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LatentFileError(f"{path}: malformed transported document: {exc}") from None
+    return _load(path, TransportedResult)
 
 
 def save_train_report(path, report: TrainReport) -> None:
-    save_document(path, TRAIN_REPORT_FORMAT, report.to_document())
+    save_document(path, _FORMATS[TrainReport], report)
 
 
 def load_train_report(path) -> TrainReport:
-    doc = load_document(path, TRAIN_REPORT_FORMAT)
-    try:
-        return TrainReport.from_document(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LatentFileError(f"{path}: malformed train report: {exc}") from None
+    return _load(path, TrainReport)

@@ -107,7 +107,7 @@ def distill(
             ClassQuantization(
                 label=label,
                 centroids=result.grid.centroids,
-                counts=result.counts,
+                counts=result.counts.astype(np.int64),
                 weights=result.weights,
                 variance_reduced=reduced,
             )
@@ -190,7 +190,7 @@ def diffuse(
         )
     return TransportedResult(
         seed=int(seed),
-        sde=sde,
+        process=sde,
         n_mc=int(n_mc),
         test_function="distance_to_origin",
         classes=tuple(classes),

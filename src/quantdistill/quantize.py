@@ -192,15 +192,15 @@ class WeightedQuantization:
         companion average under the harmonic schedule, ``counts / n_steps``
         under the count-reciprocal one (its per-centroid steps do not
         average the wins).
-    winner_sq_dists : ndarray or None
+    winner_sq_dists : ndarray
         Per-step squared distance from the sample to the winner, measured
-        before the winner moved. Present only when recording was requested.
+        before the winner moved.
     """
 
     grid: QuantizationGrid
     counts: np.ndarray
     weights: np.ndarray
-    winner_sq_dists: np.ndarray | None = None
+    winner_sq_dists: np.ndarray
 
     def __post_init__(self):
         k = self.grid.n_centroids
@@ -212,11 +212,10 @@ class WeightedQuantization:
             raise ValueError("weights must be nonnegative, one per centroid")
         if abs(float(weights.sum()) - 1.0) > RESULT_WEIGHT_TOL:
             raise ValueError(f"weights must sum to 1 within {RESULT_WEIGHT_TOL}")
-        if self.winner_sq_dists is not None:
-            trace = np.ascontiguousarray(self.winner_sq_dists, dtype=np.float64)
-            if trace.ndim != 1 or np.any(trace < 0):
-                raise ValueError("winner_sq_dists must be a 1-d nonnegative array")
-            object.__setattr__(self, "winner_sq_dists", trace)
+        trace = np.ascontiguousarray(self.winner_sq_dists, dtype=np.float64)
+        if trace.ndim != 1 or np.any(trace < 0):
+            raise ValueError("winner_sq_dists must be a 1-d nonnegative array")
+        object.__setattr__(self, "winner_sq_dists", trace)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "weights", weights)
 
@@ -292,20 +291,19 @@ def init_grid(
     raise ValueError(f"unknown init strategy {strategy!r}")
 
 
-def _competitive_loop(samples, x0, schedule: StepSchedule, record: bool):
+def _competitive_loop(samples, x0, schedule: StepSchedule):
     x = x0.copy()
     k = x.shape[0]
     w = np.full(k, 1.0 / k)
     v = np.zeros(k)
     n = samples.shape[0]
-    trace = np.empty(n) if record else None
+    trace = np.empty(n)
     harmonic = schedule.kind == "harmonic"
     for i in range(n):
         s = samples[i]
         d2 = squared_distances(s[None, :], x)[0]
         win = int(np.argmin(d2))
-        if record:
-            trace[i] = d2[win]
+        trace[i] = d2[win]
         v[win] += 1.0
         g = schedule.step(i) if harmonic else 1.0 / v[win]
         x[win] = (1.0 - g) * x[win] + g * s
@@ -324,12 +322,11 @@ def clvq(
     *,
     init: QuantizationGrid | None = None,
     init_strategy: str = "dsquared",
-    record_distortion: bool = False,
 ) -> WeightedQuantization:
     """Online competitive learning with cell-mass weights.
 
     Each step draws one sample, finds the nearest centroid (ties to the
-    lowest index), records that centroid's squared distance if requested,
+    lowest index), records that centroid's squared distance,
     then moves only the winner toward the sample by the schedule's step, so
     centroids never leave the convex hull of the initial grid and the
     samples. Harmonic steps refresh the companion weights by the same convex
@@ -348,9 +345,6 @@ def clvq(
     init : QuantizationGrid, optional
         Starting grid; drawn via ``init_grid(sampler, ..., init_strategy)``
         from the same generator when omitted.
-    record_distortion : bool
-        Store per-step winner squared distances for the running-average
-        diagnostic.
 
     Raises
     ------
@@ -370,7 +364,7 @@ def clvq(
     if init.n_centroids != n_centroids:
         raise ValueError("init grid size must equal n_centroids")
     samples = sampler.draw(rng, n_steps)
-    x, v, w, trace = _competitive_loop(samples, init.centroids, schedule, record_distortion)
+    x, v, w, trace = _competitive_loop(samples, init.centroids, schedule)
     return WeightedQuantization(QuantizationGrid(x), v, w, trace)
 
 
@@ -534,12 +528,7 @@ def variance_reduced_weights(counts) -> np.ndarray:
 def empirical_distortion_trace(result: WeightedQuantization) -> np.ndarray:
     """Running mean of the recorded per-step winner squared distances.
 
-    Entry t is the average of the first t+1 recorded values. The run must
-    have been made with ``record_distortion=True``.
+    Entry t is the average of the first t+1 recorded values.
     """
-    if result.winner_sq_dists is None:
-        raise ValueError(
-            "no recorded winner distances; run the quantizer with record_distortion=True"
-        )
     trace = result.winner_sq_dists
     return np.cumsum(trace) / np.arange(1, trace.shape[0] + 1)

@@ -85,9 +85,9 @@ class CheckRecord:
     measured: float
     target: float
     tolerance: float | None
+    passed: bool = field(init=False)
     seed: int
     rule: InitVar[str] = "at_most"
-    passed: bool = field(init=False)
 
     def __post_init__(self, rule: str):
         tol = 0.0 if self.tolerance is None else self.tolerance
@@ -108,17 +108,6 @@ class CheckRecord:
             f"{status} {self.claim}: measured={self.measured:.6g} "
             f"target={self.target:.6g} tolerance={tol}"
         )
-
-    def to_document(self) -> dict:
-        return {
-            "claim": self.claim,
-            "statement": self.statement,
-            "measured": self.measured,
-            "target": self.target,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "seed": int(self.seed),
-        }
 
 
 def _sub(seed: int, *keys: int) -> np.random.SeedSequence:
@@ -240,7 +229,6 @@ def check_companion_weight_convergence(seed: int) -> list[CheckRecord]:
             StepSchedule.harmonic(1.0, 10.0),
             100000,
             _sub(seed, 4, rep),
-            record_distortion=True,
         )
         order = np.argsort(result.grid.centroids[:, 0])
         sorted_weights = result.weights[order]

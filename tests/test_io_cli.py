@@ -361,20 +361,20 @@ def test_document_rejects_wrong_format_tag(tmp_path):
         load_distillation(blank)
 
 
-def test_transported_document_round_trip(tmp_path):
+def sample_transported():
     report = BoundReport(
         lhs=0.01,
-        rhs=0.5,
+        rhs=0.0,
         mc_stderr=0.002,
-        ratio=0.02,
+        ratio=float("inf"),
         passed=True,
         wasserstein=0.1,
         constant=5.0,
         lipschitz_bound=1.0,
     )
-    result = TransportedResult(
+    return TransportedResult(
         seed=3,
-        sde=SdeSpec("brownian", 1.0, 0.25, 50),
+        process=SdeSpec("brownian", 1.0, 0.25, 50),
         n_mc=200,
         test_function="distance_to_origin",
         classes=(
@@ -386,16 +386,10 @@ def test_transported_document_round_trip(tmp_path):
             ),
         ),
     )
-    path = tmp_path / "transported.json"
-    save_transported(path, result)
-    loaded = load_transported(path)
-    assert loaded.sde == result.sde
-    assert loaded.classes[0].report == report
-    np.testing.assert_array_equal(loaded.classes[0].atoms, result.classes[0].atoms)
 
 
-def test_train_report_round_trip(tmp_path):
-    report = TrainReport(
+def sample_train_report(eval_accuracy=None):
+    return TrainReport(
         seed=1,
         model="logistic",
         weight_mode="variance_reduced",
@@ -403,27 +397,127 @@ def test_train_report_round_trip(tmp_path):
         epochs=20,
         final_loss=0.25,
         train_accuracy=1.0,
-        eval_accuracy=None,
+        eval_accuracy=eval_accuracy,
         theta=np.array([0.5, -0.5, 0.1]),
     )
-    path = tmp_path / "report.json"
-    save_train_report(path, report)
-    loaded = load_train_report(path)
-    assert loaded.eval_accuracy is None
-    np.testing.assert_array_equal(loaded.theta, report.theta)
-    with_eval = TrainReport(
-        seed=1,
-        model="logistic",
-        weight_mode="uniform",
-        learning_rate=0.5,
-        epochs=20,
-        final_loss=0.25,
-        train_accuracy=1.0,
-        eval_accuracy=0.875,
-        theta=np.array([0.5]),
-    )
-    save_train_report(path, with_eval)
-    assert load_train_report(path).eval_accuracy == 0.875
+
+
+def test_transported_document_round_trip(tmp_path):
+    result = sample_transported()
+    path = tmp_path / "transported.json"
+    save_transported(path, result)
+    assert '"ratio": Infinity' in path.read_text()
+    loaded = load_transported(path)
+    assert loaded.process == result.process
+    assert loaded.classes[0].report == result.classes[0].report
+    np.testing.assert_array_equal(loaded.classes[0].atoms, result.classes[0].atoms)
+    # A rewrite of the loaded document is byte-identical.
+    second = tmp_path / "again.json"
+    save_transported(second, loaded)
+    assert second.read_bytes() == path.read_bytes()
+
+
+def test_train_report_round_trip(tmp_path):
+    for eval_accuracy in (None, 0.875):
+        report = sample_train_report(eval_accuracy)
+        path = tmp_path / "report.json"
+        save_train_report(path, report)
+        loaded = load_train_report(path)
+        assert loaded.eval_accuracy == eval_accuracy
+        np.testing.assert_array_equal(loaded.theta, report.theta)
+        if eval_accuracy is None:
+            assert '"eval_accuracy": null' in path.read_text()
+        # A rewrite of the loaded document is byte-identical.
+        second = tmp_path / "again.json"
+        save_train_report(second, loaded)
+        assert second.read_bytes() == path.read_bytes()
+
+
+# Per result type: writer, reader, sample, a key to delete and an array field,
+# each as its path in the document.
+MALFORMED_CASES = {
+    "distillation": (
+        save_distillation, load_distillation, sample_distillation,
+        ("classes", 0, "counts"), ("classes", 0, "centroids"),
+    ),
+    "transported": (
+        save_transported, load_transported, sample_transported,
+        ("process", "n_steps"), ("classes", 0, "atoms"),
+    ),
+    "train_report": (
+        save_train_report, load_train_report, sample_train_report,
+        ("eval_accuracy",), ("theta",),
+    ),
+}
+
+
+def _dotted(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+def _nan_first(value):
+    arr = np.array(value, dtype=np.float64)
+    arr.flat[0] = np.nan
+    return arr.tolist()
+
+
+@pytest.mark.parametrize("fault", ["missing_key", "ragged", "string", "nan"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED_CASES))
+def test_malformed_document_names_file_and_field(tmp_path, kind, fault):
+    save, load, sample, missing, array = MALFORMED_CASES[kind]
+    path = tmp_path / "doc.json"
+    save(path, sample())
+    doc = json.loads(path.read_text())
+    keys = missing if fault == "missing_key" else array
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if fault == "missing_key":
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = {
+            "ragged": [[1.0], [1.0, 2.0]],
+            "string": "abc",
+            "nan": _nan_first(parent[keys[-1]]),
+        }[fault]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(LatentFileError) as info:
+        load(path)
+    message = str(info.value)
+    assert str(path) in message
+    assert _dotted(keys) in message
+    if fault == "nan":
+        assert isinstance(info.value, NonFiniteValue)
+        assert "non-finite" in message
+    else:
+        assert "malformed" in message and "non-finite" not in message
+
+
+def test_transported_document_with_an_invalid_process_names_it(tmp_path):
+    path = tmp_path / "transported.json"
+    save_transported(path, sample_transported())
+    doc = json.loads(path.read_text())
+    doc["process"]["kind"] = "levy"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(LatentFileError, match="process: unknown process kind 'levy'") as info:
+        load_transported(path)
+    assert str(path) in str(info.value)
+
+
+def test_document_counts_are_integers_and_arrays_keep_their_kind(tmp_path):
+    result = sample_distillation()
+    assert all(cls.counts.dtype == np.int64 for cls in result.classes)
+    path = tmp_path / "distilled.json"
+    save_distillation(path, result)
+    loaded = load_distillation(path)
+    for cls in loaded.classes:
+        assert cls.counts.dtype == np.int64
+        assert cls.centroids.dtype == cls.weights.dtype == np.float64
+    # One float entry makes the whole array float64.
+    doc = json.loads(path.read_text())
+    doc["classes"][0]["counts"][0] = 1.5
+    path.write_text(json.dumps(doc))
+    assert load_distillation(path).classes[0].counts.dtype == np.float64
 
 
 def write_demo_files(tmp_path, seed=0):
@@ -506,8 +600,20 @@ def test_cli_diffuse_writes_reports(tmp_path, capsys):
     assert status == 0
     assert "ceiling" in capsys.readouterr().out
     loaded = load_transported(out)
-    assert loaded.sde.kind == "ornstein_uhlenbeck"
+    assert loaded.process.kind == "ornstein_uhlenbeck"
     assert len(loaded.classes) == 2
+
+
+def test_cli_train_names_the_document_with_a_nonfinite_centroid(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    save_distillation(path, sample_distillation())
+    doc = json.loads(path.read_text())
+    doc["classes"][1]["centroids"][0][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    status = cli.main(["train", "--distilled", str(path), "--out", str(tmp_path / "r.json")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert f"{path}: classes[1].centroids holds non-finite values" in err
 
 
 def test_cli_distill_rejects_negative_batch_settings(tmp_path, capsys):
