@@ -48,7 +48,7 @@ def main():
     print(f"  uniform weights:   {gaps_flat.mean():.4f}")
     print(f"mass weights win {wins}/{trials} probes")
 
-    trained, report = train(
+    clf, report = train(
         result,
         weight_mode="variance_reduced",
         model="logistic",
@@ -64,7 +64,7 @@ def main():
 
     angles = 2.0 * np.pi * np.arange(3) / 3
     centers = 2.2 * np.column_stack([np.cos(angles), np.sin(angles)])
-    print(f"predicted labels at the three blob centers: {trained.predict(centers)}")
+    print(f"predicted labels at the three blob centers: {clf.predict(centers, report.theta)}")
 
 
 if __name__ == "__main__":

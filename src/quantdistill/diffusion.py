@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp, softmax
 
 from .errors import DimensionError, InvalidSpec, InvalidTime
-from .measures import DiscreteMeasure, squared_distances
+from .measures import DiscreteMeasure, _check_same_dim, squared_distances
 from .quantize import EmpiricalSampler, as_generator, init_grid, lloyd
 from .transport import w2_discrete
 
@@ -163,8 +163,7 @@ def reverse_integrate(
     state for the mean-reverting process), and each step adds fresh Gaussian
     noise. Atom weights pass through unchanged.
     """
-    if start.dim != ref.dim:
-        raise DimensionError(f"dimension mismatch: {start.dim} vs {ref.dim}")
+    _check_same_dim(start.dim, ref.dim)
     rng = as_generator(seed)
     x = start.atoms.copy()
     dt = (sde.horizon - sde.early_stop) / sde.n_steps

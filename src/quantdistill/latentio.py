@@ -205,13 +205,24 @@ def load_labels(path, n_expected: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassQuantization:
-    """One class's distilled centroids with counts and both weight vectors."""
+    """One class's distilled centroids with counts and both weight vectors.
+
+    ``centroids`` is ``(K, dim)`` and the other arrays hold one entry per centroid.
+    """
 
     label: int
     centroids: np.ndarray
     counts: np.ndarray
     weights: np.ndarray
     variance_reduced: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.centroids) != 2:
+            raise ValueError(f"centroids must be 2-d, got shape {np.shape(self.centroids)}")
+        k = len(self.centroids)
+        for name in ("counts", "weights", "variance_reduced"):
+            if np.shape(getattr(self, name)) != (k,):
+                raise ValueError(f"{name} must hold one entry per centroid ({k})")
 
 
 @dataclass(frozen=True)
@@ -226,6 +237,12 @@ class DistillationResult:
     n_iterations: int
     init_strategy: str
     classes: tuple[ClassQuantization, ...]
+
+    def __post_init__(self):
+        for i, cls in enumerate(self.classes):
+            cols = cls.centroids.shape[1]
+            if cols != self.dim:
+                raise ValueError(f"classes[{i}].centroids has {cols} columns, dim is {self.dim}")
 
 
 @dataclass(frozen=True)

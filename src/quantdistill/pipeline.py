@@ -227,9 +227,10 @@ def train(
 ) -> tuple[TinyClassifier, TrainReport]:
     """Train a small classifier on the distilled cloud with loss weights.
 
-    Returns the trained classifier and a report with the final weighted
-    loss, the accuracy on the distilled points, and, when an evaluation
-    cloud is supplied, the accuracy there. ``eval_points`` and
+    Starts from ``init_parameters(seed)``. Returns the classifier and a
+    report with the trained ``theta``, the final weighted loss, the accuracy
+    on the distilled points, and, when an evaluation cloud is supplied, the
+    accuracy there. ``eval_points`` and
     ``eval_labels`` go together: giving one without the other raises
     ``ValueError``.
     """
@@ -242,18 +243,18 @@ def train(
         eval_labels = as_label_array(eval_labels, len(eval_points))
     dataset = build_dataset(result, weight_mode)
     classifier = parse_model(model, dataset.dim, dataset.n_classes)
-    trained = train_weighted(
+    theta = train_weighted(
         classifier,
         dataset,
+        classifier.init_parameters(seed),
         learning_rate=learning_rate,
         epochs=epochs,
-        seed=seed,
     )
-    final_loss, _ = loss_and_gradient(trained, dataset)
-    train_accuracy = classification_accuracy(trained, dataset.points, dataset.labels)
+    final_loss, _ = loss_and_gradient(classifier, dataset, theta)
+    train_accuracy = classification_accuracy(classifier, dataset.points, dataset.labels, theta)
     eval_accuracy = None
     if eval_points is not None:
-        eval_accuracy = classification_accuracy(trained, eval_points, eval_labels)
+        eval_accuracy = classification_accuracy(classifier, eval_points, eval_labels, theta)
     report = TrainReport(
         seed=int(seed),
         model=model,
@@ -263,9 +264,9 @@ def train(
         final_loss=float(final_loss),
         train_accuracy=float(train_accuracy),
         eval_accuracy=eval_accuracy,
-        theta=trained.theta,
+        theta=theta,
     )
-    return trained, report
+    return classifier, report
 
 
 def demo_dataset(

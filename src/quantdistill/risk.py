@@ -4,20 +4,24 @@ Replacing a measure by a quantized stand-in changes any Lipschitz statistic
 by at most the Lipschitz constant times the root quantization error; this
 module provides concrete function families with certified constants, the gap
 check, and a small classifier whose weighted loss treats a distilled cloud
-with companion weights as a drop-in for the full dataset.
+with companion weights as a drop-in for the full dataset. The classifier is
+only an architecture: its parameters are one flat vector ``theta`` that every
+function takes and training returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp, softmax
 
-from .errors import DimensionError, NonFiniteLoss
+from .errors import NonFiniteLoss
 from .measures import (
     DiscreteMeasure,
     QuantizationGrid,
+    _check_same_dim,
     as_label_array,
     as_point,
     as_point_array,
@@ -96,8 +100,8 @@ class LipschitzFunction:
         arr = np.asarray(points, dtype=np.float64)
         single = arr.ndim == 1
         batch = arr[None, :] if single else arr
-        if self.dim is not None and batch.shape[1] != self.dim:
-            raise DimensionError(f"dimension mismatch: {batch.shape[1]} vs {self.dim}")
+        if self.dim is not None:
+            _check_same_dim(batch.shape[1], self.dim)
         if self.kind == "distance_to_point":
             out = np.sqrt(squared_distances(batch, self.anchor[None, :])[:, 0])
         elif self.kind == "max_affine":
@@ -196,17 +200,18 @@ class WeightedDataset:
 
 @dataclass(frozen=True)
 class TinyClassifier:
-    """A multinomial logistic model, optionally with one tanh hidden layer.
+    """Architecture of a multinomial logistic model, optionally with one tanh hidden layer.
 
-    ``theta`` packs all parameters into one flat vector: ``[W, b]`` for the
-    linear model and ``[W1, b1, W2, b2]`` with row-major weight blocks for
-    the hidden-layer model. ``theta=None`` means not yet initialized.
+    The classifier holds no parameters: every method takes them as one flat
+    vector ``theta``. Per layer, input layer first, ``theta`` holds a
+    row-major ``(inputs, outputs)`` weight block and then the bias, so
+    ``[W, b]`` for the linear model and ``[W1, b1, W2, b2]`` for the
+    hidden-layer model.
     """
 
     n_inputs: int
     n_classes: int
     hidden: int | None = None
-    theta: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_inputs < 1:
@@ -215,15 +220,6 @@ class TinyClassifier:
             raise ValueError("n_classes must be at least 2")
         if self.hidden is not None and self.hidden < 1:
             raise ValueError("hidden width must be positive when given")
-        if self.theta is not None:
-            theta = np.ascontiguousarray(self.theta, dtype=np.float64)
-            if theta.shape != (self.n_parameters,):
-                raise ValueError(
-                    f"theta must have shape ({self.n_parameters},), got {theta.shape}"
-                )
-            if not np.all(np.isfinite(theta)):
-                raise ValueError("theta must be finite")
-            object.__setattr__(self, "theta", theta)
 
     @classmethod
     def multinomial_logistic(cls, n_inputs: int, n_classes: int) -> "TinyClassifier":
@@ -235,58 +231,53 @@ class TinyClassifier:
     ) -> "TinyClassifier":
         return cls(n_inputs, n_classes, hidden=width)
 
+    @cached_property
+    def layout(self) -> tuple[tuple[int, int, int], ...]:
+        """``(offset, inputs, outputs)`` per layer, input layer first."""
+        widths = [self.n_inputs, self.n_classes]
+        if self.hidden is not None:
+            widths.insert(1, self.hidden)
+        layout, offset = [], 0
+        for inputs, outputs in zip(widths, widths[1:]):
+            layout.append((offset, inputs, outputs))
+            offset += inputs * outputs + outputs
+        return tuple(layout)
+
     @property
     def n_parameters(self) -> int:
-        d, c = self.n_inputs, self.n_classes
-        if self.hidden is None:
-            return d * c + c
-        h = self.hidden
-        return d * h + h + h * c + c
+        offset, inputs, outputs = self.layout[-1]
+        return offset + inputs * outputs + outputs
 
     def init_parameters(self, seed) -> np.ndarray:
         """Small random parameters; deterministic in the seed."""
         rng = np.random.default_rng(seed)
         return 0.1 * rng.standard_normal(self.n_parameters)
 
-    def _unpack(self, theta: np.ndarray):
-        d, c = self.n_inputs, self.n_classes
-        if self.hidden is None:
-            return theta[: d * c].reshape(d, c), theta[d * c :]
-        h = self.hidden
-        w1 = theta[: d * h].reshape(d, h)
-        b1 = theta[d * h : d * h + h]
-        w2 = theta[d * h + h : d * h + h + h * c].reshape(h, c)
-        b2 = theta[d * h + h + h * c :]
-        return w1, b1, w2, b2
-
-    def _require_theta(self, theta) -> np.ndarray:
-        if theta is None:
-            theta = self.theta
-        if theta is None:
-            raise ValueError("no parameters: initialize or train first")
+    def _forward(self, x: np.ndarray, theta) -> tuple[list, np.ndarray]:
+        """Each layer's input and weight block, and the logits, at ``theta``."""
         theta = np.ascontiguousarray(theta, dtype=np.float64)
         if theta.shape != (self.n_parameters,):
             raise ValueError(f"theta must have shape ({self.n_parameters},)")
-        return theta
+        _check_same_dim(x.shape[1], self.n_inputs)
+        layers, z = [], x
+        for offset, inputs, outputs in self.layout:
+            a = np.tanh(z) if layers else z
+            end = offset + inputs * outputs
+            weight = theta[offset:end].reshape(inputs, outputs)
+            layers.append((a, weight))
+            z = a @ weight + theta[end : end + outputs]
+        return layers, z
 
-    def logits(self, points, theta=None) -> np.ndarray:
-        theta = self._require_theta(theta)
-        x = as_point_array(points, "points")
-        if x.shape[1] != self.n_inputs:
-            raise DimensionError(f"dimension mismatch: {x.shape[1]} vs {self.n_inputs}")
-        if self.hidden is None:
-            w, b = self._unpack(theta)
-            return x @ w + b
-        w1, b1, w2, b2 = self._unpack(theta)
-        return np.tanh(x @ w1 + b1) @ w2 + b2
+    def logits(self, points, theta) -> np.ndarray:
+        return self._forward(as_point_array(points, "points"), theta)[1]
 
-    def predict(self, points, theta=None) -> np.ndarray:
+    def predict(self, points, theta) -> np.ndarray:
         """Most likely class per point, ties to the lowest class index."""
         return np.argmax(self.logits(points, theta), axis=1)
 
 
 def loss_and_gradient(
-    classifier: TinyClassifier, data: WeightedDataset, theta=None
+    classifier: TinyClassifier, data: WeightedDataset, theta
 ) -> tuple[float, np.ndarray]:
     """Weight-normalized cross-entropy and its gradient in ``theta``.
 
@@ -299,39 +290,25 @@ def loss_and_gradient(
     NonFiniteLoss
         If the loss or gradient fails to be finite at ``theta``.
     """
-    theta = classifier._require_theta(theta)
-    if data.dim != classifier.n_inputs:
-        raise DimensionError(
-            f"dimension mismatch: {data.dim} vs {classifier.n_inputs}"
-        )
     if data.n_classes > classifier.n_classes:
         raise ValueError("dataset has more classes than the classifier")
-    x, y, w = data.points, data.labels, data.weights
-    n = x.shape[0]
+    layers, z = classifier._forward(data.points, theta)
+    y, w = data.labels, data.weights
+    n = y.shape[0]
     scale = w / w.sum()
-    if classifier.hidden is None:
-        weight, bias = classifier._unpack(theta)
-        z = x @ weight + bias
-        hidden_act = None
-    else:
-        w1, b1, w2, b2 = classifier._unpack(theta)
-        hidden_act = np.tanh(x @ w1 + b1)
-        z = hidden_act @ w2 + b2
     log_norm = logsumexp(z, axis=1)
     nll = log_norm - z[np.arange(n), y]
     loss = float(np.dot(scale, nll))
     dz = softmax(z, axis=1)
     dz[np.arange(n), y] -= 1.0
     dz *= scale[:, None]
-    if classifier.hidden is None:
-        grad = np.concatenate([(x.T @ dz).ravel(), dz.sum(axis=0)])
-    else:
-        gw2 = hidden_act.T @ dz
-        gb2 = dz.sum(axis=0)
-        dh = (dz @ w2.T) * (1.0 - hidden_act**2)
-        grad = np.concatenate(
-            [(x.T @ dh).ravel(), dh.sum(axis=0), gw2.ravel(), gb2]
-        )
+    grads = []  # output layer first; nothing flows back into the points
+    for i in reversed(range(len(layers))):
+        a, weight = layers[i]
+        grads += [dz.sum(axis=0), (a.T @ dz).ravel()]
+        if i:
+            dz = (dz @ weight.T) * (1.0 - a**2)
+    grad = np.concatenate(grads[::-1])
     if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
         raise NonFiniteLoss("loss or gradient is not finite")
     return loss, grad
@@ -340,53 +317,47 @@ def loss_and_gradient(
 def train_weighted(
     classifier: TinyClassifier,
     data: WeightedDataset,
+    theta,
     *,
     learning_rate: float = 1.0,
     epochs: int = 200,
-    seed=0,
-) -> TinyClassifier:
+) -> np.ndarray:
     """Full-batch gradient descent with backtracking on the weighted loss.
 
-    Each epoch evaluates the exact weighted gradient, then halves the step
-    from ``learning_rate`` until the Armijo decrease condition holds. The
-    run is deterministic: the seed only sets the initial parameters, and only
-    when the classifier carries none. Returns a new classifier holding the
-    trained parameters.
+    Starts from ``theta``. Each epoch evaluates the exact weighted gradient,
+    then halves the step from ``learning_rate`` until the Armijo decrease
+    condition holds; training stops early at a zero gradient or when no step
+    is accepted. The run is deterministic. Returns the trained parameters.
     """
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
+    if not (np.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError("learning_rate must be finite and positive")
     if epochs < 1:
         raise ValueError("epochs must be positive")
-    theta = classifier.theta
-    if theta is None:
-        theta = classifier.init_parameters(seed)
-    theta = theta.copy()
+    theta = np.array(theta, dtype=np.float64)
     loss, grad = loss_and_gradient(classifier, data, theta)
     for _ in range(epochs):
         sq_norm = float(np.dot(grad, grad))
         if sq_norm == 0.0:
             break
         step = learning_rate
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
             candidate = theta - step * grad
             try:
                 cand_loss, cand_grad = loss_and_gradient(classifier, data, candidate)
             except NonFiniteLoss:
-                step *= 0.5
-                continue
-            if cand_loss <= loss - ARMIJO_SLOPE * step * sq_norm:
-                theta, loss, grad = candidate, cand_loss, cand_grad
-                accepted = True
-                break
+                pass
+            else:
+                if cand_loss <= loss - ARMIJO_SLOPE * step * sq_norm:
+                    theta, loss, grad = candidate, cand_loss, cand_grad
+                    break
             step *= 0.5
-        if not accepted:
+        else:
             break
-    return replace(classifier, theta=theta)
+    return theta
 
 
 def classification_accuracy(
-    classifier: TinyClassifier, points, labels, theta=None
+    classifier: TinyClassifier, points, labels, theta
 ) -> float:
     """Unweighted fraction of points assigned their stated label."""
     predicted = classifier.predict(points, theta)

@@ -17,10 +17,11 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .errors import DimensionError, SolverFailure
+from .errors import SolverFailure
 from .measures import (
     DiscreteMeasure,
     QuantizationGrid,
+    _check_same_dim,
     project_to_grid,
     quadratic_distortion,
     squared_distances,
@@ -102,8 +103,7 @@ def w2_discrete(
     SolverFailure
         If the linear program does not reach an optimum.
     """
-    if mu.dim != nu.dim:
-        raise DimensionError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+    _check_same_dim(mu.dim, nu.dim)
     m, n = mu.n_atoms, nu.n_atoms
     cost_matrix = squared_distances(mu.atoms, nu.atoms)
     res = _transport_lp(cost_matrix, mu.weights, nu.weights)

@@ -616,6 +616,49 @@ def test_cli_train_names_the_document_with_a_nonfinite_centroid(tmp_path, capsys
     assert f"{path}: classes[1].centroids holds non-finite values" in err
 
 
+# Edits to classes[0] of a saved distillation, each with the field its error names.
+SHAPE_FAULTS = {
+    "flat_centroids": (lambda cls: cls.update(centroids=cls["centroids"][0]), "centroids"),
+    "extra_column": (
+        lambda cls: cls.update(centroids=[row + [0.0] for row in cls["centroids"]]),
+        "classes[0].centroids",
+    ),
+    "short_counts": (lambda cls: cls["counts"].pop(), "counts"),
+    "short_weights": (lambda cls: cls["weights"].pop(), "weights"),
+    "short_variance_reduced": (lambda cls: cls["variance_reduced"].pop(), "variance_reduced"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SHAPE_FAULTS))
+def test_cli_train_names_a_misshapen_distillation_field(tmp_path, capsys, fault):
+    edit, field = SHAPE_FAULTS[fault]
+    path = tmp_path / "d.json"
+    save_distillation(path, sample_distillation())
+    doc = json.loads(path.read_text())
+    edit(doc["classes"][0])
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "r.json"
+    status = cli.main(["train", "--distilled", str(path), "--out", str(report)])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert f"{path}: malformed quantdistill.distillation document" in err
+    assert "classes[0]" in err and field in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_cli_train_rejects_a_nonfinite_learning_rate(tmp_path, capsys, rate):
+    path = tmp_path / "d.json"
+    save_distillation(path, sample_distillation())
+    report = tmp_path / "r.json"
+    status = cli.main(
+        ["train", "--distilled", str(path), "--lr", rate, "--out", str(report)]
+    )
+    assert status == 2
+    assert "learning_rate must be finite and positive" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_cli_distill_rejects_negative_batch_settings(tmp_path, capsys):
     latents, labels_path = write_demo_files(tmp_path)
     out = tmp_path / "distilled.json"

@@ -107,10 +107,29 @@ def test_classifier_logits_linear_case():
     np.testing.assert_array_equal(clf.predict(x, theta), [0])
 
 
-def test_classifier_requires_parameters():
-    clf = TinyClassifier.multinomial_logistic(2, 2)
-    with pytest.raises(ValueError):
-        clf.logits(np.zeros((1, 2)))
+def test_classifier_logits_hidden_layer_case():
+    clf = TinyClassifier.one_hidden_layer(1, 2, 1)
+    # theta packs [W1, b1, W2, b2]: W1 = [[2]], b1 = [0], W2 = [[1, -1]], b2 = [0, 0].
+    theta = np.array([2.0, 0.0, 1.0, -1.0, 0.0, 0.0])
+    x = np.array([[0.3], [-1.0]])
+    t = np.tanh(2.0 * x[:, 0])
+    np.testing.assert_allclose(clf.logits(x, theta), np.column_stack([t, -t]))
+    np.testing.assert_array_equal(clf.predict(x, theta), [0, 1])
+
+
+def test_wrong_length_theta_is_rejected():
+    data = WeightedDataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 1]), np.ones(2))
+    for clf in (
+        TinyClassifier.multinomial_logistic(2, 2),
+        TinyClassifier.one_hidden_layer(2, 2, 3),
+    ):
+        for theta in (np.zeros(clf.n_parameters - 1), np.zeros(clf.n_parameters + 1)):
+            with pytest.raises(ValueError, match="theta must have shape"):
+                clf.logits(data.points, theta)
+            with pytest.raises(ValueError, match="theta must have shape"):
+                loss_and_gradient(clf, data, theta)
+            with pytest.raises(ValueError, match="theta must have shape"):
+                train_weighted(clf, data, theta, epochs=1)
 
 
 @pytest.mark.parametrize("model", ["logistic", "hidden"])
@@ -173,13 +192,24 @@ def test_train_weighted_decreases_loss_and_is_deterministic():
     labels = np.repeat(np.array([0, 1], dtype=np.intp), 20)
     data = WeightedDataset(points, labels, np.ones(40))
     clf = TinyClassifier.multinomial_logistic(2, 2)
-    start_loss, _ = loss_and_gradient(clf, data, clf.init_parameters(7))
-    trained_a = train_weighted(clf, data, epochs=50, seed=7)
-    trained_b = train_weighted(clf, data, epochs=50, seed=7)
-    final_loss, _ = loss_and_gradient(trained_a, data)
+    start = clf.init_parameters(7)
+    start_loss, _ = loss_and_gradient(clf, data, start)
+    theta_a = train_weighted(clf, data, start, epochs=50)
+    theta_b = train_weighted(clf, data, start, epochs=50)
+    final_loss, _ = loss_and_gradient(clf, data, theta_a)
     assert final_loss < start_loss
-    np.testing.assert_array_equal(trained_a.theta, trained_b.theta)
-    assert classification_accuracy(trained_a, points, labels) == 1.0
+    np.testing.assert_array_equal(theta_a, theta_b)
+    # Training returns a new vector and leaves its start alone.
+    np.testing.assert_array_equal(start, clf.init_parameters(7))
+    assert classification_accuracy(clf, points, labels, theta_a) == 1.0
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_train_weighted_rejects_a_nonfinite_or_nonpositive_rate(rate):
+    data = WeightedDataset(np.array([[-1.0], [1.0]]), np.array([0, 1]), np.ones(2))
+    clf = TinyClassifier.multinomial_logistic(1, 2)
+    with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+        train_weighted(clf, data, clf.init_parameters(0), learning_rate=rate)
 
 
 @pytest.mark.parametrize(
@@ -195,17 +225,20 @@ def test_classification_accuracy_checks_its_labels(labels, message):
         classification_accuracy(clf, points, labels, clf.init_parameters(0))
 
 
-def test_train_weighted_keeps_existing_parameters_as_start():
+def test_train_weighted_resumes_from_the_given_theta():
     points = np.array([[-1.0, 0.0], [1.0, 0.0]])
     labels = np.array([0, 1], dtype=np.intp)
     data = WeightedDataset(points, labels, np.ones(2))
     clf = TinyClassifier.multinomial_logistic(2, 2)
-    warm = train_weighted(clf, data, epochs=5, seed=0)
-    resumed = train_weighted(warm, data, epochs=5, seed=999)
-    loss_warm, _ = loss_and_gradient(warm, data)
-    loss_resumed, _ = loss_and_gradient(resumed, data)
-    # The second run starts from the trained parameters, so the seed is idle.
+    warm = train_weighted(clf, data, clf.init_parameters(0), epochs=5)
+    resumed = train_weighted(clf, data, warm, epochs=5)
+    loss_warm, _ = loss_and_gradient(clf, data, warm)
+    loss_resumed, _ = loss_and_gradient(clf, data, resumed)
+    # Every accepted step lowers the loss, so resuming cannot raise it.
     assert loss_resumed <= loss_warm
+    # Five epochs resumed from five are the same run as ten.
+    ten = train_weighted(clf, data, clf.init_parameters(0), epochs=10)
+    np.testing.assert_array_equal(resumed, ten)
 
 
 def test_gradient_discrepancy_zero_on_same_data():
