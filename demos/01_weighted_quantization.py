@@ -9,7 +9,6 @@ import numpy as np
 
 from quantdistill import (
     DiscreteMeasure,
-    EmpiricalSampler,
     GaussianMixtureSampler,
     StepSchedule,
     clvq,
@@ -47,9 +46,7 @@ def main():
     # The k-means entry point is the same loop under a count-reciprocal
     # schedule, so a shared seed gives bitwise identical grids.
     data = DiscreteMeasure.uniform(sampler.draw(np.random.default_rng(2), 2000))
-    online = clvq(
-        EmpiricalSampler(data), 2, StepSchedule.count_reciprocal(), 1000, seed=3
-    )
+    online = clvq(data, 2, StepSchedule.count_reciprocal(), 1000, seed=3)
     batch = minibatch_kmeans(data, 2, batch_size=100, n_iterations=10, seed=3)
     same = bool(np.array_equal(online.grid.centroids, batch.grid.centroids))
     print(f"online run equals mini-batch k-means bit for bit: {same}")

@@ -20,11 +20,8 @@ from quantdistill import (
 
 
 def skewed_clusters(rng, n=300):
-    masses = np.array([0.7, 0.2, 0.1])
-    centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-    comp = np.searchsorted(np.cumsum(masses), rng.random(n))
-    np.clip(comp, 0, 2, out=comp)
-    return DiscreteMeasure.uniform(centers[comp] + 0.3 * rng.standard_normal((n, 2)))
+    centers = DiscreteMeasure([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], [0.7, 0.2, 0.1])
+    return DiscreteMeasure.uniform(centers.draw(rng, n) + 0.3 * rng.standard_normal((n, 2)))
 
 
 def main():

@@ -1,9 +1,10 @@
 """Discrete measures, quantization grids, and the quadratic distortion.
 
-A discrete measure is a finite weighted point cloud; a quantization grid is a
-finite set of pairwise-distinct centroids. The quadratic distortion of a grid
-against a measure is the weighted mean squared distance from each atom to its
-nearest centroid. Every point-to-centroid distance in the package comes from
+A discrete measure is a finite weighted point cloud that draws its own atoms,
+each draw one inverse-CDF lookup; a quantization grid is a finite set of
+pairwise-distinct centroids. The quadratic distortion of a grid against a
+measure is the weighted mean squared distance from each atom to its nearest
+centroid. Every point-to-centroid distance in the package comes from
 one exact kernel, ``squared_distances``, and every nearest-centroid decision
 from one Voronoi pass, which yields the assignment, the nearest squared
 distances, the cell masses and means, and the distortion together.
@@ -78,6 +79,15 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return cdist(points, centroids, "sqeuclidean")
 
 
+def _inverse_cdf(cdf: np.ndarray, u):
+    """Index of the first cumulative weight above ``u``, capped at the last index.
+
+    Every weighted draw is this lookup; the cap catches a ``u`` at or above a
+    total that rounding left below 1.
+    """
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """A probability measure supported on finitely many points.
@@ -130,6 +140,20 @@ class DiscreteMeasure:
     @property
     def n_atoms(self) -> int:
         return self.atoms.shape[0]
+
+    def draw_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Indices of ``n`` atoms drawn with replacement, by weight.
+
+        One ``rng.random(n)`` call and one lookup; of the zero-weight atoms,
+        only a last one can be drawn, and only through the cap.
+        """
+        if n < 1:
+            raise ValueError("n must be positive")
+        return _inverse_cdf(np.cumsum(self.weights), rng.random(n))
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` atoms drawn with replacement, by weight, shape (n, d)."""
+        return self.atoms[self.draw_indices(rng, n)]
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,6 @@ from .latentio import (
 )
 from .measures import DiscreteMeasure, as_label_array
 from .quantize import (
-    EmpiricalSampler,
     StepSchedule,
     clvq,
     variance_reduced_weights,
@@ -90,10 +89,9 @@ def distill(
     classes = []
     for label, class_points in _split_by_class(points, labels):
         sub = class_subseed(seed, label)
-        mu = DiscreteMeasure.uniform(class_points)
         try:
             result = clvq(
-                EmpiricalSampler(mu),
+                DiscreteMeasure.uniform(class_points),
                 per_class,
                 StepSchedule(schedule),
                 batch_size * n_iterations,

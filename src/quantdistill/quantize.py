@@ -31,9 +31,9 @@ from .measures import (
     QuantizationGrid,
     VoronoiPartition,
     _check_same_dim,
+    _inverse_cdf,
     _nearest,
     _partition,
-    as_point_array,
     squared_distances,
 )
 
@@ -94,69 +94,39 @@ class StepSchedule:
         return self.a / (self.b + i + 1.0)
 
 
-class EmpiricalSampler:
-    """Draws atoms of a discrete measure with replacement, by weight.
-
-    Sampling uses inverse-CDF lookup on one uniform draw per sample, so the
-    index stream is a pure function of the generator's uniform stream.
-    """
-
-    def __init__(self, measure: DiscreteMeasure):
-        self.measure = measure
-        self._cdf = np.cumsum(measure.weights)
-
-    @property
-    def dim(self) -> int:
-        return self.measure.dim
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("n must be positive")
-        u = rng.random(n)
-        idx = np.searchsorted(self._cdf, u, side="right")
-        np.clip(idx, 0, self.measure.n_atoms - 1, out=idx)
-        return self.measure.atoms[idx]
-
-
 class GaussianMixtureSampler:
     """Draws from a mixture of isotropic Gaussians.
+
+    ``components`` is the measure on the means with the mixture weights; a
+    draw takes its component indices from it, then the noise.
 
     Parameters
     ----------
     means : ndarray, shape (m, d)
     variances : ndarray, shape (m,)
-        Per-component isotropic variances, all positive.
+        Per-component isotropic variances, all positive and finite.
     weights : ndarray, shape (m,)
-        Mixture weights, nonnegative with positive total (normalized here).
+        Mixture weights, nonnegative with positive finite total, normalized here.
     """
 
     def __init__(self, means, variances, weights):
-        self.means = as_point_array(means, "means")
-        self.variances = np.ascontiguousarray(variances, dtype=np.float64)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        m = self.means.shape[0]
-        if self.variances.shape != (m,) or np.any(self.variances <= 0):
-            raise ValueError("variances must be positive with one entry per component")
-        if weights.shape != (m,) or np.any(weights < 0) or weights.sum() <= 0:
-            raise ValueError("weights must be nonnegative with positive total")
-        self.weights = weights / weights.sum()
-        self._cdf = np.cumsum(self.weights)
+        self.components = DiscreteMeasure.from_unnormalized(means, weights)
+        v = self.variances = np.ascontiguousarray(variances, dtype=np.float64)
+        if v.shape != (self.components.n_atoms,) or not np.all(np.isfinite(v) & (v > 0)):
+            raise ValueError("variances must be positive and finite, one per component")
 
     @property
     def dim(self) -> int:
-        return self.means.shape[1]
+        return self.components.dim
 
     @property
     def mean(self) -> np.ndarray:
-        return self.weights @ self.means
+        return self.components.weights @ self.components.atoms
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("n must be positive")
-        comp = np.searchsorted(self._cdf, rng.random(n), side="right")
-        np.clip(comp, 0, self.means.shape[0] - 1, out=comp)
+        comp = self.components.draw_indices(rng, n)
         noise = rng.standard_normal((n, self.dim))
-        return self.means[comp] + np.sqrt(self.variances[comp])[:, None] * noise
+        return self.components.atoms[comp] + np.sqrt(self.variances[comp])[:, None] * noise
 
 
 class UniformCubeSampler:
@@ -220,64 +190,53 @@ class WeightedQuantization:
         object.__setattr__(self, "weights", weights)
 
 
-def _seeding_pool(source, rng: np.random.Generator, n_centroids: int):
-    """Atoms and weights to seed from: the measure itself, or a sampled pool."""
-    if isinstance(source, DiscreteMeasure):
-        return source.atoms, source.weights
-    pool = max(512, 32 * n_centroids)
-    atoms = source.draw(rng, pool)
-    return atoms, np.full(pool, 1.0 / pool)
-
-
 def init_grid(
-    source,
+    mu: DiscreteMeasure,
     n_centroids: int,
     strategy: str = "dsquared",
     seed=None,
 ) -> QuantizationGrid:
-    """Choose initial centroids from a measure or a sampler.
+    """Choose initial centroids among the atoms of a measure.
 
     Parameters
     ----------
-    source : DiscreteMeasure or sampler
-        Seeding pool. A sampler contributes ``max(512, 32 K)`` fresh draws.
+    mu : DiscreteMeasure
+        Seeding pool; ``clvq`` pools a sampler's own draws into one.
     n_centroids : int
         Number of centroids K.
     strategy : {"dsquared", "random_subset"}
         ``dsquared`` picks the first centroid by weight and each later one
         with probability proportional to weight times squared distance to the
         nearest chosen centroid, which spreads seeds across separated modes.
+        Each pick is one inverse-CDF lookup; K-1 distance passes serve them.
         ``random_subset`` picks K distinct atoms uniformly.
     seed : int, SeedSequence, or Generator
 
     Raises
     ------
     InsufficientPoints
-        If the pool holds fewer than K distinct points.
+        If the measure holds fewer than K distinct points.
     """
     if n_centroids < 1:
         raise ValueError("n_centroids must be positive")
     rng = as_generator(seed)
-    atoms, weights = _seeding_pool(source, rng, n_centroids)
-    n = atoms.shape[0]
+    atoms, weights = mu.atoms, mu.weights
     if strategy == "dsquared":
         chosen = np.empty(n_centroids, dtype=np.intp)
-        cdf = np.cumsum(weights)
-        first = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        chosen[0] = min(first, n - 1)
-        d2 = squared_distances(atoms, atoms[chosen[0]][None, :])[:, 0]
-        for k in range(1, n_centroids):
-            scores = weights * d2
-            total = scores.sum()
-            if total <= 0:
+        d2 = np.full(atoms.shape[0], np.inf)
+        scores = weights
+        for k in range(n_centroids):
+            cdf = np.cumsum(scores)
+            if cdf[-1] <= 0:
                 raise InsufficientPoints(
                     f"only {k} distinct points available for {n_centroids} centroids"
                 )
-            cdf = np.cumsum(scores)
-            idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-            chosen[k] = min(idx, n - 1)
+            chosen[k] = _inverse_cdf(cdf, rng.random() * cdf[-1])
+            if k + 1 == n_centroids:
+                break
             step = squared_distances(atoms, atoms[chosen[k]][None, :])[:, 0]
             np.minimum(d2, step, out=d2)
+            scores = weights * d2
         return QuantizationGrid(atoms[chosen].copy())
     if strategy == "random_subset":
         distinct = np.unique(atoms, axis=0)
@@ -335,7 +294,7 @@ def clvq(
     Parameters
     ----------
     sampler : object with ``dim`` and ``draw(rng, n)``
-        Sample source.
+        Sample source, such as a ``DiscreteMeasure``.
     n_centroids : int
     schedule : StepSchedule
     n_steps : int
@@ -343,8 +302,9 @@ def clvq(
     seed : int, SeedSequence, or Generator
         Drives initialization (when ``init`` is None) and the sample stream.
     init : QuantizationGrid, optional
-        Starting grid; drawn via ``init_grid(sampler, ..., init_strategy)``
-        from the same generator when omitted.
+        Starting grid; when omitted, ``init_grid`` seeds it from a uniform
+        measure on ``max(512, 32 K)`` draws of the sampler (a measure too),
+        from the same generator.
 
     Raises
     ------
@@ -359,7 +319,8 @@ def clvq(
         raise InvalidSchedule("schedule must be a StepSchedule")
     rng = as_generator(seed)
     if init is None:
-        init = init_grid(sampler, n_centroids, init_strategy, rng)
+        pool = DiscreteMeasure.uniform(sampler.draw(rng, max(512, 32 * n_centroids)))
+        init = init_grid(pool, n_centroids, init_strategy, rng)
     _check_same_dim(init.dim, sampler.dim)
     if init.n_centroids != n_centroids:
         raise ValueError("init grid size must equal n_centroids")
@@ -387,7 +348,7 @@ def minibatch_kmeans(
     if batch_size < 1 or n_iterations < 1:
         raise ValueError("batch_size and n_iterations must be positive")
     return clvq(
-        EmpiricalSampler(data),
+        data,
         n_centroids,
         StepSchedule.count_reciprocal(),
         batch_size * n_iterations,

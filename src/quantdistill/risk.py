@@ -11,7 +11,7 @@ function takes and training returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -121,13 +121,20 @@ def weighted_expectation(f, nu: DiscreteMeasure) -> float:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Observed expectation gap against its quantization bound for one function."""
+    """Observed expectation gap against its quantization bound for one function.
+
+    ``slack`` and ``passed`` follow from ``gap`` and ``bound``; they are not given.
+    """
 
     function_kind: str
     gap: float
     bound: float
-    slack: float
-    passed: bool
+    slack: float = field(init=False)
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "slack", self.bound - self.gap)
+        object.__setattr__(self, "passed", self.gap <= self.bound + GAP_SLACK)
 
 
 def check_lipschitz_gap(
@@ -147,15 +154,7 @@ def check_lipschitz_gap(
     for f in functions:
         gap = abs(weighted_expectation(f, mu) - weighted_expectation(f, nu))
         bound = f.lipschitz_bound * root_distortion
-        reports.append(
-            GapReport(
-                function_kind=f.kind,
-                gap=gap,
-                bound=bound,
-                slack=bound - gap,
-                passed=gap <= bound + GAP_SLACK,
-            )
-        )
+        reports.append(GapReport(function_kind=f.kind, gap=gap, bound=bound))
     return reports
 
 

@@ -42,7 +42,6 @@ from .measures import (
 )
 from .pipeline import demo_dataset
 from .quantize import (
-    EmpiricalSampler,
     GaussianMixtureSampler,
     StepSchedule,
     UniformCubeSampler,
@@ -274,7 +273,7 @@ def check_online_minibatch_equivalence(seed: int) -> list[CheckRecord]:
     )
     data = DiscreteMeasure.uniform(points)
     online = clvq(
-        EmpiricalSampler(data),
+        data,
         4,
         StepSchedule.count_reciprocal(),
         2000,
@@ -513,13 +512,8 @@ def check_transported_expectation_bound(seed: int) -> list[CheckRecord]:
 
 
 def _skewed_clusters(rng, n: int):
-    masses = np.array([0.7, 0.2, 0.1])
-    centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-    comp = np.searchsorted(np.cumsum(masses), rng.random(n))
-    np.clip(comp, 0, 2, out=comp)
-    return DiscreteMeasure.uniform(
-        centers[comp] + 0.3 * rng.standard_normal((n, 2))
-    )
+    centers = DiscreteMeasure([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], [0.7, 0.2, 0.1])
+    return DiscreteMeasure.uniform(centers.draw(rng, n) + 0.3 * rng.standard_normal((n, 2)))
 
 
 def check_weighting_reduction(seed: int) -> list[CheckRecord]:

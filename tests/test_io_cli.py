@@ -362,15 +362,10 @@ def test_document_rejects_wrong_format_tag(tmp_path):
 
 
 def sample_transported():
+    # A zero W2 makes the ceiling 0 and the ratio infinite; the gap passes
+    # within three Monte Carlo standard errors.
     report = BoundReport(
-        lhs=0.01,
-        rhs=0.0,
-        mc_stderr=0.002,
-        ratio=float("inf"),
-        passed=True,
-        wasserstein=0.1,
-        constant=5.0,
-        lipschitz_bound=1.0,
+        lhs=0.01, mc_stderr=0.004, wasserstein=0.0, constant=5.0, lipschitz_bound=1.0
     )
     return TransportedResult(
         seed=3,
@@ -415,6 +410,18 @@ def test_transported_document_round_trip(tmp_path):
     second = tmp_path / "again.json"
     save_transported(second, loaded)
     assert second.read_bytes() == path.read_bytes()
+
+
+def test_transported_verdict_follows_the_loaded_numbers(tmp_path):
+    path = tmp_path / "transported.json"
+    save_transported(path, sample_transported())
+    assert load_transported(path).classes[0].report.passed
+    doc = json.loads(path.read_text())
+    # The stored ceiling, ratio and verdict still claim a pass.
+    doc["classes"][0]["report"].update(lhs=1e11, rhs=1e12, ratio=0.1, passed=True)
+    path.write_text(json.dumps(doc))
+    loaded = load_transported(path).classes[0].report
+    assert (loaded.rhs, loaded.ratio, loaded.passed) == (0.0, float("inf"), False)
 
 
 def test_train_report_round_trip(tmp_path):

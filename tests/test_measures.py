@@ -180,6 +180,32 @@ def test_measure_allows_zero_weights():
     assert mu.n_atoms == 2
 
 
+def test_measure_draw_frequencies():
+    mu = DiscreteMeasure(
+        np.array([[0.0], [1.0], [2.0]]), np.array([0.5, 0.3, 0.2])
+    )
+    rng = np.random.default_rng(3)
+    draws = mu.draw(rng, 20000)[:, 0]
+    freq = np.array([(draws == v).mean() for v in (0.0, 1.0, 2.0)])
+    np.testing.assert_allclose(freq, mu.weights, atol=0.02)
+
+
+def test_measure_draws_by_inverse_cdf_on_one_uniform_per_draw():
+    # The index stream is the reference lookup on the same uniforms, and an
+    # interior zero-weight atom is never drawn.
+    mu = DiscreteMeasure(np.arange(4.0)[:, None], np.array([0.3, 0.0, 0.45, 0.25]))
+    indices = mu.draw_indices(np.random.default_rng(20), 5000)
+    u = np.random.default_rng(20).random(5000)
+    reference = np.searchsorted(np.cumsum(mu.weights), u, side="right")
+    np.testing.assert_array_equal(indices, np.minimum(reference, 3))
+    assert not np.any(indices == 1)
+    np.testing.assert_array_equal(
+        mu.draw(np.random.default_rng(20), 5000), mu.atoms[indices]
+    )
+    with pytest.raises(ValueError):
+        mu.draw_indices(np.random.default_rng(20), 0)
+
+
 def test_uniform_and_from_unnormalized():
     atoms = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     uniform = DiscreteMeasure.uniform(atoms)

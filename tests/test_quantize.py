@@ -22,7 +22,6 @@ from quantdistill.measures import (
 )
 from quantdistill.pipeline import class_subseed, demo_dataset, distill
 from quantdistill.quantize import (
-    EmpiricalSampler,
     GaussianMixtureSampler,
     StepSchedule,
     UniformCubeSampler,
@@ -63,17 +62,6 @@ def test_unknown_schedule_kind():
         StepSchedule("geometric")
 
 
-def test_empirical_sampler_frequencies():
-    mu = DiscreteMeasure(
-        np.array([[0.0], [1.0], [2.0]]), np.array([0.5, 0.3, 0.2])
-    )
-    sampler = EmpiricalSampler(mu)
-    rng = np.random.default_rng(3)
-    draws = sampler.draw(rng, 20000)[:, 0]
-    freq = np.array([(draws == v).mean() for v in (0.0, 1.0, 2.0)])
-    np.testing.assert_allclose(freq, mu.weights, atol=0.02)
-
-
 def test_gaussian_mixture_sampler_moments():
     sampler = GaussianMixtureSampler(
         [[-1.0], [2.0]], [0.04, 0.04], [0.25, 0.75]
@@ -89,6 +77,21 @@ def test_gaussian_mixture_sampler_validation():
         GaussianMixtureSampler([[0.0]], [0.0], [1.0])
     with pytest.raises(ValueError):
         GaussianMixtureSampler([[0.0], [1.0]], [0.1, 0.1], [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "variances,weights",
+    [
+        ([np.nan, 0.1], [0.5, 0.5]),
+        ([np.inf, 0.1], [0.5, 0.5]),
+        ([0.1, 0.1], [np.nan, 0.5]),
+        ([0.1, 0.1], [np.inf, 0.5]),
+    ],
+    ids=["nan_variance", "inf_variance", "nan_weight", "inf_weight"],
+)
+def test_gaussian_mixture_sampler_rejects_non_finite_parameters(variances, weights):
+    with pytest.raises(ValueError):
+        GaussianMixtureSampler([[0.0], [1.0]], variances, weights)
 
 
 def test_uniform_cube_sampler_range():
@@ -121,6 +124,20 @@ def test_init_grid_dsquared_spreads_over_modes():
     assert values[0] < 50.0 < values[1]
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_init_grid_dsquared_makes_one_distance_pass_per_pick_but_the_last(monkeypatch, k):
+    calls = []
+
+    def counted(points, centroids):
+        calls.append(1)
+        return squared_distances(points, centroids)
+
+    monkeypatch.setattr(quantize, "squared_distances", counted)
+    mu = DiscreteMeasure.uniform(np.random.default_rng(19).normal(size=(40, 2)))
+    assert init_grid(mu, k, "dsquared", 19).n_centroids == k
+    assert len(calls) == k - 1
+
+
 def test_init_grid_insufficient_distinct_points():
     mu = DiscreteMeasure.uniform(np.array([[1.0], [1.0], [1.0]]))
     with pytest.raises(InsufficientPoints):
@@ -134,7 +151,7 @@ def test_clvq_single_centroid_count_schedule_is_exact_mean():
     sampler = UniformCubeSampler(2)
     result = clvq(sampler, 1, StepSchedule.count_reciprocal(), 500, 8)
     rng = np.random.default_rng(8)
-    init = init_grid(sampler, 1, "dsquared", rng)
+    init = init_grid(DiscreteMeasure.uniform(sampler.draw(rng, 512)), 1, "dsquared", rng)
     samples = sampler.draw(rng, 500)
     np.testing.assert_allclose(
         result.grid.centroids[0], samples.mean(axis=0), rtol=1e-12
@@ -144,6 +161,20 @@ def test_clvq_single_centroid_count_schedule_is_exact_mean():
     # The first recorded distance is measured before the winner moves.
     first = ((samples[0] - init.centroids[0]) ** 2).sum()
     np.testing.assert_allclose(result.winner_sq_dists[0], first, rtol=1e-12)
+
+
+def test_clvq_seeds_from_a_pool_of_its_own_draws():
+    # A measure is pooled like any sampler: 512 draws, not its 600 atoms.
+    mu = DiscreteMeasure.uniform(np.random.default_rng(17).normal(size=(600, 2)))
+    seeded = clvq(mu, 3, StepSchedule.harmonic(), 200, 18)
+    rng = np.random.default_rng(18)
+    init = init_grid(DiscreteMeasure.uniform(mu.draw(rng, 512)), 3, "dsquared", rng)
+    given = clvq(mu, 3, StepSchedule.harmonic(), 200, rng, init=init)
+    for field in dataclasses.fields(seeded):
+        ours, theirs = getattr(seeded, field.name), getattr(given, field.name)
+        if field.name == "grid":
+            ours, theirs = ours.centroids, theirs.centroids
+        np.testing.assert_array_equal(ours, theirs, err_msg=field.name)
 
 
 def test_clvq_counts_sum_to_steps_and_weights_to_one():
@@ -167,9 +198,7 @@ def test_clvq_rejects_bad_arguments():
 def test_minibatch_kmeans_matches_online_run():
     rng = np.random.default_rng(10)
     data = DiscreteMeasure.uniform(rng.normal(size=(200, 2)))
-    online = clvq(
-        EmpiricalSampler(data), 3, StepSchedule.count_reciprocal(), 600, 11
-    )
+    online = clvq(data, 3, StepSchedule.count_reciprocal(), 600, 11)
     batch = minibatch_kmeans(data, 3, 60, 10, 11)
     np.testing.assert_array_equal(online.grid.centroids, batch.grid.centroids)
     np.testing.assert_array_equal(online.counts, batch.counts)
@@ -192,7 +221,7 @@ def test_distill_class_equals_direct_clvq_run(schedule):
     result = distill(points, labels, 4, 7, schedule=schedule, batch_size=8, n_iterations=25)
     for cls in result.classes:
         direct = clvq(
-            EmpiricalSampler(DiscreteMeasure.uniform(points[labels == cls.label])),
+            DiscreteMeasure.uniform(points[labels == cls.label]),
             4,
             StepSchedule(schedule),
             200,
@@ -387,7 +416,7 @@ def test_clvq_finds_each_winner_through_the_distance_kernel(monkeypatch):
     rng = np.random.default_rng(16)
     mu = DiscreteMeasure.uniform(rng.normal(size=(40, 3)))
     init = QuantizationGrid(rng.normal(size=(4, 3)))
-    clvq(EmpiricalSampler(mu), 4, StepSchedule.harmonic(1.0, 1.0), 25, 16, init=init)
+    clvq(mu, 4, StepSchedule.harmonic(1.0, 1.0), 25, 16, init=init)
     assert shapes == [((1, 3), (4, 3))] * 25
 
 
@@ -395,16 +424,9 @@ def test_clvq_winner_update_is_convex_combination():
     # A single harmonic step from a known grid moves only the winner.
     mu = DiscreteMeasure.uniform(np.array([[0.0], [10.0]]))
     init = QuantizationGrid(np.array([[1.0], [9.0]]))
-    result = clvq(
-        EmpiricalSampler(mu),
-        2,
-        StepSchedule.harmonic(1.0, 1.0),
-        1,
-        14,
-        init=init,
-    )
+    result = clvq(mu, 2, StepSchedule.harmonic(1.0, 1.0), 1, 14, init=init)
     rng = np.random.default_rng(14)
-    sample = EmpiricalSampler(mu).draw(rng, 1)[0]
+    sample = mu.draw(rng, 1)[0]
     win = int(np.argmin(squared_distances(sample[None, :], init.centroids)[0]))
     expected = init.centroids.copy()
     expected[win] = 0.5 * expected[win] + 0.5 * sample

@@ -6,6 +6,8 @@ import pytest
 from quantdistill.errors import DimensionError
 from quantdistill.measures import DiscreteMeasure, QuantizationGrid
 from quantdistill.risk import (
+    GAP_SLACK,
+    GapReport,
     LipschitzFunction,
     TinyClassifier,
     WeightedDataset,
@@ -72,6 +74,14 @@ def test_gap_check_bounds_hand_instance():
     # The constant function has zero gap and zero bound.
     assert reports[1].gap == 0.0
     assert reports[1].bound == 0.0
+
+
+def test_gap_verdict_follows_gap_and_bound():
+    within = GapReport("distance_to_point", gap=1.0 + GAP_SLACK, bound=1.0)
+    assert within.passed and within.slack == 1.0 - (1.0 + GAP_SLACK)
+    assert not GapReport("distance_to_point", gap=1.5, bound=1.0).passed
+    with pytest.raises(TypeError):
+        GapReport("distance_to_point", gap=1.5, bound=1.0, slack=0.0, passed=True)
 
 
 def test_weighted_dataset_validation():
