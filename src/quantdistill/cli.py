@@ -23,7 +23,7 @@ from .errors import QuantDistillError
 from .measures import DiscreteMeasure
 from .pipeline import WEIGHT_MODES
 from .quantize import UniformCubeSampler
-from .transport import rate_scan, w2_discrete
+from .transport import rate_scan, w2
 
 SEED_ENV = "QUANTDISTILL_SEED"
 
@@ -124,8 +124,7 @@ def cmd_train(args) -> int:
 def cmd_w2(args) -> int:
     left = DiscreteMeasure.uniform(latentio.load_latents(args.left))
     right = DiscreteMeasure.uniform(latentio.load_latents(args.right))
-    value, _ = w2_discrete(left, right)
-    print(value)
+    print(w2(left, right))
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import logsumexp
 
 from .errors import DimensionError, InvalidSpec, InvalidTime
 from .measures import DiscreteMeasure, _check_same_dim, squared_distances
@@ -113,8 +113,22 @@ def _mixture_logits(ref: ReferenceLaw, scale: float, var: float, x: np.ndarray):
     means = scale * ref.base.atoms
     with np.errstate(divide="ignore"):
         log_w = np.log(ref.base.weights)
-    sq = squared_distances(x, means)
-    return log_w[None, :] - sq / (2.0 * var), means
+    logits = squared_distances(x, means)
+    logits /= 2.0 * var
+    np.subtract(log_w[None, :], logits, out=logits)
+    return logits, means
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-wise max-shifted softmax, computed in place over ``logits``.
+
+    The same operations as ``scipy.special.softmax(logits, axis=1)``, so the
+    same bits, without its three temporaries of the logits' size.
+    """
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def _as_batch(ref: ReferenceLaw, x):
@@ -139,7 +153,7 @@ def analytic_score(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.ndarray:
     scale, var = _marginal_params(sde, t)
     batch, single = _as_batch(ref, x)
     logits, means = _mixture_logits(ref, scale, var, batch)
-    resp = softmax(logits, axis=1)
+    resp = _softmax_rows(logits)
     score = (resp @ means - batch) / var
     return score[0] if single else score
 

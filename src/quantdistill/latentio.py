@@ -133,6 +133,10 @@ def _load_latents_csv(path: Path) -> np.ndarray:
 def load_latents(path) -> np.ndarray:
     """Read a point cloud saved by :func:`save_latents`.
 
+    A binary file is read into one array: the header is checked against the
+    size on disk before the payload is read, and finiteness is checked on
+    that array without a temporary of its size.
+
     Raises
     ------
     EmptyFile, BadMagic, TruncatedFile, NonFiniteValue
@@ -143,28 +147,33 @@ def load_latents(path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".csv":
         return _load_latents_csv(path)
-    data = path.read_bytes()
-    if len(data) == 0:
-        raise EmptyFile(f"{path}: no content")
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise BadMagic(f"{path}: not a latent file (bad leading tag)")
-    if len(data) < HEADER_SIZE:
-        raise TruncatedFile(f"{path}: incomplete header")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != BINARY_VERSION:
-        raise BadMagic(f"{path}: unsupported format version {version}")
-    (rows,) = struct.unpack_from("<Q", data, 8)
-    (cols,) = struct.unpack_from("<Q", data, 16)
-    if rows == 0 or cols == 0:
-        raise EmptyFile(f"{path}: declares no data ({rows} rows, {cols} columns)")
-    expected = HEADER_SIZE + rows * cols * 8
-    if len(data) != expected:
+    with open(path, "rb") as handle:
+        header = handle.read(HEADER_SIZE)
+        size = os.fstat(handle.fileno()).st_size
+        if size == 0:
+            raise EmptyFile(f"{path}: no content")
+        if header[:4] != MAGIC:
+            raise BadMagic(f"{path}: not a latent file (bad leading tag)")
+        if len(header) < HEADER_SIZE:
+            raise TruncatedFile(f"{path}: incomplete header")
+        version, rows, cols = struct.unpack("<IQQ", header[4:])
+        if version != BINARY_VERSION:
+            raise BadMagic(f"{path}: unsupported format version {version}")
+        if rows == 0 or cols == 0:
+            raise EmptyFile(f"{path}: declares no data ({rows} rows, {cols} columns)")
+        expected = HEADER_SIZE + rows * cols * 8
+        if size != expected:
+            raise TruncatedFile(
+                f"{path}: {size} bytes on disk, header declares {expected}"
+            )
+        arr = np.fromfile(handle, dtype="<f8", count=rows * cols)
+    if arr.shape[0] != rows * cols:
         raise TruncatedFile(
-            f"{path}: {len(data)} bytes on disk, header declares {expected}"
+            f"{path}: payload ended after {arr.shape[0]} of {rows * cols} values"
         )
-    arr = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=HEADER_SIZE)
-    arr = arr.astype(np.float64).reshape(rows, cols)
-    if not np.all(np.isfinite(arr)):
+    arr = arr.astype(np.float64, copy=False).reshape(rows, cols)
+    # min and max propagate NaN and reach any infinity, and allocate nothing.
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
         raise NonFiniteValue(f"{path}: row {bad} (0-based) holds NaN or infinite entries")
     return arr

@@ -51,8 +51,14 @@ def class_subseed(master_seed: int, label: int) -> np.random.SeedSequence:
 
 
 def _split_by_class(points: np.ndarray, labels: np.ndarray):
+    """``(label, class points)`` for each class in label order, gathered lazily.
+
+    The labels are validated at the call; each class's points are copied out
+    only when the iteration reaches it, so a caller that drops each class
+    before taking the next holds one class copy at a time.
+    """
     labels = as_label_array(labels, points.shape[0])
-    return [(c, points[labels == c]) for c in range(int(labels.max()) + 1)]
+    return ((c, points[labels == c]) for c in range(int(labels.max()) + 1))
 
 
 def distill(
@@ -110,6 +116,7 @@ def distill(
                 variance_reduced=reduced,
             )
         )
+        del class_points  # so the next class is gathered with this one freed
     return DistillationResult(
         seed=int(seed),
         per_class=int(per_class),

@@ -250,16 +250,16 @@ def init_grid(
     raise ValueError(f"unknown init strategy {strategy!r}")
 
 
-def _competitive_loop(samples, x0, schedule: StepSchedule):
+def _competitive_loop(rows, order, x0, schedule: StepSchedule):
     x = x0.copy()
     k = x.shape[0]
     w = np.full(k, 1.0 / k)
     v = np.zeros(k)
-    n = samples.shape[0]
+    n = order.shape[0]
     trace = np.empty(n)
     harmonic = schedule.kind == "harmonic"
     for i in range(n):
-        s = samples[i]
+        s = rows[order[i]]
         d2 = squared_distances(s[None, :], x)[0]
         win = int(np.argmin(d2))
         trace[i] = d2[win]
@@ -290,6 +290,12 @@ def clvq(
     centroids never leave the convex hull of the initial grid and the
     samples. Harmonic steps refresh the companion weights by the same convex
     averaging; count-reciprocal runs report ``counts / n_steps`` instead.
+
+    A ``DiscreteMeasure`` streams its samples: the run draws ``n_steps``
+    atom indices at once and reads one atom per step, so its memory does not
+    grow with ``n_steps`` beyond the indices. Any other sampler draws all
+    ``n_steps`` samples at once. Either way the samples are those of
+    ``sampler.draw(rng, n_steps)``, bit for bit.
 
     Parameters
     ----------
@@ -324,8 +330,11 @@ def clvq(
     _check_same_dim(init.dim, sampler.dim)
     if init.n_centroids != n_centroids:
         raise ValueError("init grid size must equal n_centroids")
-    samples = sampler.draw(rng, n_steps)
-    x, v, w, trace = _competitive_loop(samples, init.centroids, schedule)
+    if isinstance(sampler, DiscreteMeasure):
+        rows, order = sampler.atoms, sampler.draw_indices(rng, n_steps)
+    else:
+        rows, order = sampler.draw(rng, n_steps), np.arange(n_steps)
+    x, v, w, trace = _competitive_loop(rows, order, init.centroids, schedule)
     return WeightedQuantization(QuantizationGrid(x), v, w, trace)
 
 

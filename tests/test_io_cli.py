@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,34 @@ def test_load_latents_names_the_first_nonfinite_row(tmp_path):
     csv.write_text("dim0,dim1\n1,2\nnan,3\n\n4,inf\n")
     with pytest.raises(NonFiniteValue, match="line 3 holds NaN or infinite"):
         load_latents(csv)
+
+
+def test_load_latents_rejects_bytes_beyond_the_declared_payload(tmp_path):
+    path = tmp_path / "long.bin"
+    path.write_bytes(_binary_latents([[0.0, 1.0], [2.0, 3.0]]) + b"\0" * 8)
+    with pytest.raises(TruncatedFile, match="64 bytes on disk, header declares 56"):
+        load_latents(path)
+
+
+def test_load_latents_rejects_a_tagged_file_shorter_than_its_header(tmp_path):
+    path = tmp_path / "stub.bin"
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + b"\0" * 8)
+    with pytest.raises(TruncatedFile, match="incomplete header"):
+        load_latents(path)
+
+
+def test_load_latents_allocation_peak_is_the_payload(tmp_path):
+    points = np.random.default_rng(53).normal(size=(2000, 256))
+    path = tmp_path / "cloud.bin"
+    save_latents(path, points)
+    tracemalloc.start()
+    try:
+        loaded = load_latents(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded, points)
+    assert peak <= points.nbytes + 2**20
 
 
 def test_load_labels_names_the_line_of_the_first_negative_label(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for samplers, online competitive learning, and Lloyd refinement."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,3 +432,57 @@ def test_clvq_winner_update_is_convex_combination():
     expected = init.centroids.copy()
     expected[win] = 0.5 * expected[win] + 0.5 * sample
     np.testing.assert_allclose(result.grid.centroids, expected, rtol=1e-15)
+
+
+def _reference_loop(samples, x0, schedule):
+    # The online loop fed a materialized sample array, step by step.
+    x = x0.copy()
+    k = x.shape[0]
+    w, v, trace = np.full(k, 1.0 / k), np.zeros(k), []
+    harmonic = schedule.kind == "harmonic"
+    for i, s in enumerate(samples):
+        d2 = squared_distances(s[None, :], x)[0]
+        win = int(np.argmin(d2))
+        trace.append(d2[win])
+        v[win] += 1.0
+        g = schedule.step(i) if harmonic else 1.0 / v[win]
+        x[win] = (1.0 - g) * x[win] + g * s
+        if harmonic:
+            w *= 1.0 - g
+            w[win] += g
+    return x, v, (w if harmonic else v / len(samples)), np.array(trace)
+
+
+@pytest.mark.parametrize(
+    "schedule", [StepSchedule.count_reciprocal(), StepSchedule.harmonic(1.0, 4.0)]
+)
+def test_clvq_streamed_from_a_measure_equals_a_loop_over_its_draws(schedule):
+    rng = np.random.default_rng(41)
+    mu = DiscreteMeasure.from_unnormalized(rng.normal(size=(60, 3)), rng.random(60))
+    result = clvq(mu, 4, schedule, 500, 42)
+    # The same generator state: the seeding pool, D² seeding, then one draw
+    # of every sample.
+    rng = np.random.default_rng(42)
+    pool = DiscreteMeasure.uniform(mu.draw(rng, 512))
+    init = init_grid(pool, 4, "dsquared", rng)
+    x, v, w, trace = _reference_loop(mu.draw(rng, 500), init.centroids, schedule)
+    np.testing.assert_array_equal(result.grid.centroids, x)
+    np.testing.assert_array_equal(result.counts, v)
+    np.testing.assert_array_equal(result.weights, w)
+    np.testing.assert_array_equal(result.winner_sq_dists, trace)
+
+
+def test_clvq_allocation_peak_does_not_grow_with_the_step_count():
+    d = 256
+    mu = DiscreteMeasure.uniform(np.random.default_rng(43).normal(size=(300, d)))
+    init = QuantizationGrid(mu.atoms[:4].copy())
+
+    def peak(n_steps):
+        tracemalloc.start()
+        try:
+            clvq(mu, 4, StepSchedule.count_reciprocal(), n_steps, 44, init=init)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) - peak(200) < 4000 * d * 8 / 10

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from quantdistill import transport
 from quantdistill.errors import DimensionError
 from quantdistill.measures import (
     DiscreteMeasure,
@@ -16,6 +17,7 @@ from quantdistill.quantize import UniformCubeSampler
 from quantdistill.transport import (
     compare_weighting,
     rate_scan,
+    w2,
     w2_discrete,
     w2_to_grid,
 )
@@ -65,6 +67,43 @@ def test_w2_matches_assignment_oracle():
         expected = cost[rows, cols].sum() / n
         w2, _ = w2_discrete(mu, nu)
         np.testing.assert_allclose(w2 * w2, expected, rtol=1e-9, atol=1e-12)
+
+
+def test_w2_by_assignment_agrees_with_the_lp():
+    rng = np.random.default_rng(21)
+    for trial in range(30):
+        d = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 12))
+        left = rng.normal(size=(n, d))
+        right = rng.normal(size=(n, d))
+        if trial % 3 == 1:  # duplicate atoms on both sides
+            left[n // 2 :] = left[: n - n // 2]
+            right[: n // 2] = left[: n // 2]
+        mu, nu = DiscreteMeasure.uniform(left), DiscreteMeasure.uniform(right)
+        expected, _ = w2_discrete(mu, nu)
+        np.testing.assert_allclose(w2(mu, nu), expected, rtol=1e-9)
+
+
+def test_w2_solves_the_lp_unless_both_sides_are_uniform_of_one_size(monkeypatch):
+    solves = []
+
+    def counted(*args):
+        solves.append(args[0].shape)
+        return lp(*args)
+
+    lp = transport._transport_lp
+    monkeypatch.setattr(transport, "_transport_lp", counted)
+    rng = np.random.default_rng(22)
+    five = DiscreteMeasure.uniform(rng.normal(size=(5, 2)))
+    four = DiscreteMeasure.uniform(rng.normal(size=(4, 2)))
+    skewed = DiscreteMeasure.from_unnormalized(rng.normal(size=(5, 2)), rng.random(5))
+    w2(five, DiscreteMeasure.uniform(rng.normal(size=(5, 2))))
+    assert solves == []
+    for mu, nu in [(five, four), (skewed, five), (five, skewed)]:
+        value = w2(mu, nu)
+        assert solves[-1] == (mu.n_atoms, nu.n_atoms)
+        assert value == w2_discrete(mu, nu)[0]
+    assert len(solves) == 6
 
 
 def test_w2_plan_is_basic_and_feasible():
@@ -118,6 +157,8 @@ def test_w2_dimension_mismatch():
     nu = DiscreteMeasure.uniform(np.array([[0.0]]))
     with pytest.raises(DimensionError):
         w2_discrete(mu, nu)
+    with pytest.raises(DimensionError):
+        w2(mu, nu)
 
 
 def test_w2_to_grid_equals_projection_distance():
