@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionError, InvalidSpec, InvalidTime
-from .measures import DiscreteMeasure, _check_same_dim, squared_distances
+from .measures import DiscreteMeasure, _check_same_dim, _softmax_rows, squared_distances
 from .quantize import as_generator, init_grid, lloyd
 from .transport import w2_discrete
 
@@ -119,18 +118,6 @@ def _mixture_logits(ref: ReferenceLaw, scale: float, var: float, x: np.ndarray):
     return logits, means
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise max-shifted softmax, computed in place over ``logits``.
-
-    The same operations as ``scipy.special.softmax(logits, axis=1)``, so the
-    same bits, without its three temporaries of the logits' size.
-    """
-    logits -= logits.max(axis=1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    return logits
-
-
 def _as_batch(ref: ReferenceLaw, x):
     """``x`` as an (n, d) float array, and whether it was a single point."""
     arr = np.asarray(x, dtype=np.float64)
@@ -147,13 +134,14 @@ def analytic_score(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.ndarray:
     The marginal is a Gaussian mixture centered at the scaled atoms, so the
     score is the responsibility-weighted pull toward the component means
     divided by the marginal variance. Accepts one point or a batch; the
-    responsibilities use a log-sum-exp softmax, so far-out points degrade
-    gracefully to the nearest component's pull.
+    responsibilities are the package's max-shifted softmax, taken in place
+    over the logits, so far-out points degrade gracefully to the nearest
+    component's pull.
     """
     scale, var = _marginal_params(sde, t)
     batch, single = _as_batch(ref, x)
-    logits, means = _mixture_logits(ref, scale, var, batch)
-    resp = _softmax_rows(logits)
+    resp, means = _mixture_logits(ref, scale, var, batch)
+    _softmax_rows(resp)  # the logits become the responsibilities in place
     score = (resp @ means - batch) / var
     return score[0] if single else score
 
@@ -163,7 +151,8 @@ def log_marginal_density(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.nda
     scale, var = _marginal_params(sde, t)
     batch, single = _as_batch(ref, x)
     logits, _ = _mixture_logits(ref, scale, var, batch)
-    out = logsumexp(logits, axis=1) - 0.5 * ref.dim * np.log(2.0 * np.pi * var)
+    shift, total = _softmax_rows(logits)
+    out = (shift + np.log(total))[:, 0] - 0.5 * ref.dim * np.log(2.0 * np.pi * var)
     return float(out[0]) if single else out
 
 

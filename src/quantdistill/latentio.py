@@ -298,6 +298,11 @@ _FORMATS = {
 }
 
 
+# The JSON values each scalar field accepts. ``bool`` is an ``int`` subclass,
+# so ``true`` and ``false`` are rejected on their own.
+_JSON_SCALARS = {int: int, float: (int, float), str: str}
+
+
 def _encode(value):
     """The JSON form of ``value``: a dataclass is its fields in declaration order."""
     if dataclasses.is_dataclass(value):
@@ -314,8 +319,11 @@ def _decode(kind, value, name: str):
 
     Dataclasses and ``tuple[X, ...]`` recurse and ``X | None`` accepts null.
     Arrays must be numeric and finite: int64 when every entry is a JSON
-    integer, float64 otherwise. Scalars are coerced by calling their type.
-    Errors name ``name``, the value's path in the document.
+    integer, float64 otherwise. A scalar must already be of its JSON kind: an
+    ``int`` field takes only integers, a ``float`` field any number (with the
+    ``NaN`` and ``Infinity`` tokens), a ``str`` field only strings; ``true``
+    and ``false`` are none of these. Errors name ``name``, the value's path
+    in the document.
     """
     if dataclasses.is_dataclass(kind):
         if not isinstance(value, dict):
@@ -351,10 +359,12 @@ def _decode(kind, value, name: str):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValue(f"{name} holds non-finite values")
         return arr.astype(np.int64 if arr.dtype.kind == "i" else np.float64, copy=False)
+    if isinstance(value, bool) or not isinstance(value, _JSON_SCALARS[kind]):
+        raise ValueError(f"{name} is not a JSON {kind.__name__}")
     try:
         return kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} is not a valid {kind.__name__}") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} is not a finite float") from None
 
 
 def save_document(path, fmt: str, body) -> None:

@@ -7,7 +7,9 @@ measure is the weighted mean squared distance from each atom to its nearest
 centroid. Every point-to-centroid distance in the package comes from
 one exact kernel, ``squared_distances``, and every nearest-centroid decision
 from one Voronoi pass, which yields the assignment, the nearest squared
-distances, the cell masses and means, and the distortion together.
+distances, the cell masses and means, and the distortion together. Every
+softmax and log-sum-exp over logits, in the score, the density and the
+training loss, is one in-place NumPy routine, ``_softmax_rows``.
 Nearest-centroid ties always resolve to the lowest centroid index so that
 every operation is deterministic.
 """
@@ -86,6 +88,22 @@ def _inverse_cdf(cdf: np.ndarray, u):
     total that rounding left below 1.
     """
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+def _softmax_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise max-shifted softmax, computed in place over ``logits``.
+
+    The same operations as SciPy's ``softmax(logits, axis=1)``, so the same
+    bits, without its temporaries of the logits' size. Returns each row's
+    shift (its maximum) and shifted total, both shape (n, 1), so a caller
+    that needs the row's log-sum-exp forms ``shift + log(total)``.
+    """
+    shift = logits.max(axis=1, keepdims=True)
+    logits -= shift
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=1, keepdims=True)
+    logits /= total
+    return shift, total
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Replacing a measure by a quantized stand-in changes any Lipschitz statistic
 by at most the Lipschitz constant times the root quantization error; this
 module provides concrete function families with certified constants, the gap
 check, and a small classifier whose weighted loss treats a distilled cloud
-with companion weights as a drop-in for the full dataset. The classifier is
+with cell-mass weights as a drop-in for the full dataset. The classifier is
 only an architecture: its parameters are one flat vector ``theta`` that every
 function takes and training returns.
 """
@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .errors import NonFiniteLoss
 from .measures import (
     DiscreteMeasure,
     QuantizationGrid,
     _check_same_dim,
+    _softmax_rows,
     as_label_array,
     as_point,
     as_point_array,
@@ -295,10 +295,10 @@ def loss_and_gradient(
     y, w = data.labels, data.weights
     n = y.shape[0]
     scale = w / w.sum()
-    log_norm = logsumexp(z, axis=1)
-    nll = log_norm - z[np.arange(n), y]
+    dz = z.copy()
+    shift, total = _softmax_rows(dz)
+    nll = (shift + np.log(total))[:, 0] - z[np.arange(n), y]
     loss = float(np.dot(scale, nll))
-    dz = softmax(z, axis=1)
     dz[np.arange(n), y] -= 1.0
     dz *= scale[:, None]
     grads = []  # output layer first; nothing flows back into the points

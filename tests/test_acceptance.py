@@ -29,6 +29,19 @@ def test_criterion(key):
         assert record.passed, record.line()
 
 
+def test_gradient_smoothness_fails_for_a_doubled_gradient(monkeypatch):
+    # A gradient off by a factor of 2 breaks Boehning's bound.
+    exact = verification.loss_and_gradient
+
+    def doubled(*args):
+        loss, grad = exact(*args)
+        return loss, 2.0 * grad
+
+    monkeypatch.setattr(verification, "loss_and_gradient", doubled)
+    [record] = verification.check_gradient_smoothness_estimate(ACCEPTANCE_SEED)
+    assert record.passed is False, record.line()
+
+
 def test_registry_covers_every_suite():
     keys = [spec.key for spec in verification.CHECKS]
     assert len(keys) == len(set(keys))
@@ -97,5 +110,27 @@ def test_package_has_no_assert_statements():
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
+
+
+def _imported_names(node):
+    """Dotted names an import statement binds or reads, e.g. ``scipy.special``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        return [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+    return []
+
+
+def test_package_does_not_import_scipy_special():
+    # Every softmax and log-sum-exp is the package's own NumPy routine.
+    package = Path(quantdistill.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in _imported_names(node)
+        if name == "scipy.special" or name.startswith("scipy.special.")
     ]
     assert not found, found

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import softmax
 
-from quantdistill import diffusion
 from quantdistill.diffusion import (
     BROWNIAN,
     ORNSTEIN_UHLENBECK,
@@ -24,16 +22,6 @@ from quantdistill.diffusion import (
 from quantdistill.errors import DimensionError, InvalidSpec, InvalidTime
 from quantdistill.measures import DiscreteMeasure
 from quantdistill.risk import LipschitzFunction
-
-
-def test_in_place_softmax_has_scipys_bits():
-    rng = np.random.default_rng(61)
-    for shape in [(200, 300), (10, 7), (1, 1)]:
-        logits = 40.0 * rng.normal(size=shape)
-        logits[:, 0] = -np.inf  # a zero-weight atom's log weight
-        logits[0, -1] = 0.0
-        expected = softmax(logits, axis=1)
-        np.testing.assert_array_equal(diffusion._softmax_rows(logits.copy()), expected)
 
 
 def two_atom_law():

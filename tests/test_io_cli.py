@@ -469,20 +469,24 @@ def test_train_report_round_trip(tmp_path):
         assert second.read_bytes() == path.read_bytes()
 
 
-# Per result type: writer, reader, sample, a key to delete and an array field,
-# each as its path in the document.
+# Per result type: writer, reader, sample, a key to delete, an array field
+# and a scalar field, each as its path in the document, and a JSON value of the
+# wrong kind for that scalar.
 MALFORMED_CASES = {
     "distillation": (
         save_distillation, load_distillation, sample_distillation,
         ("classes", 0, "counts"), ("classes", 0, "centroids"),
+        ("classes", 0, "label"), 0.9,
     ),
     "transported": (
         save_transported, load_transported, sample_transported,
         ("process", "n_steps"), ("classes", 0, "atoms"),
+        ("process", "kind"), 5,
     ),
     "train_report": (
         save_train_report, load_train_report, sample_train_report,
         ("eval_accuracy",), ("theta",),
+        ("learning_rate",), True,
     ),
 }
 
@@ -497,19 +501,21 @@ def _nan_first(value):
     return arr.tolist()
 
 
-@pytest.mark.parametrize("fault", ["missing_key", "ragged", "string", "nan"])
+@pytest.mark.parametrize("fault", ["missing_key", "ragged", "string", "nan", "wrong_scalar"])
 @pytest.mark.parametrize("kind", sorted(MALFORMED_CASES))
 def test_malformed_document_names_file_and_field(tmp_path, kind, fault):
-    save, load, sample, missing, array = MALFORMED_CASES[kind]
+    save, load, sample, missing, array, scalar, wrong = MALFORMED_CASES[kind]
     path = tmp_path / "doc.json"
     save(path, sample())
     doc = json.loads(path.read_text())
-    keys = missing if fault == "missing_key" else array
+    keys = {"missing_key": missing, "wrong_scalar": scalar}.get(fault, array)
     parent = doc
     for key in keys[:-1]:
         parent = parent[key]
     if fault == "missing_key":
         del parent[keys[-1]]
+    elif fault == "wrong_scalar":
+        parent[keys[-1]] = wrong
     else:
         parent[keys[-1]] = {
             "ragged": [[1.0], [1.0, 2.0]],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp, softmax
 
 from quantdistill import measures
 from quantdistill.errors import DimensionError
@@ -31,6 +32,23 @@ def test_squared_distances_matches_loop():
         for j in range(4):
             expected = ((points[i] - centroids[j]) ** 2).sum()
             np.testing.assert_allclose(d2[i, j], expected, rtol=1e-14)
+
+
+def test_in_place_softmax_has_scipys_bits():
+    rng = np.random.default_rng(61)
+    eps = np.finfo(np.float64).eps
+    for shape in [(200, 300), (10, 7), (1, 1)]:
+        logits = 40.0 * rng.normal(size=shape)
+        logits[:, 0] = -np.inf  # a zero-weight atom's log weight
+        logits[0, -1] = 0.0
+        expected = softmax(logits, axis=1)
+        reference = logsumexp(logits, axis=1, keepdims=True)
+        resp = logits.copy()
+        shift, total = measures._softmax_rows(resp)
+        np.testing.assert_array_equal(resp, expected)
+        # Only the log-sum-exp's last bits may differ from SciPy's.
+        gap = np.abs(shift + np.log(total) - reference)
+        assert np.all(gap <= 4 * eps * np.maximum(1.0, np.abs(reference)))
 
 
 def test_squared_distances_exact_tie_stays_exact():
