@@ -215,10 +215,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--schedule",
         choices=("count_reciprocal", "harmonic"),
         default="count_reciprocal",
-        help="step size rule for the online updates",
+        help="step size rule: count_reciprocal runs mini-batch k-means, "
+        "harmonic the online learner",
     )
-    p.add_argument("--batch-size", type=int, default=pipeline.DEFAULT_BATCH_SIZE)
-    p.add_argument("--iterations", type=int, default=pipeline.DEFAULT_N_ITERATIONS)
+    p.add_argument(
+        "--batch-size",
+        type=int,
+        default=pipeline.DEFAULT_BATCH_SIZE,
+        help="draws per mini-batch k-means batch (count_reciprocal); harmonic "
+        "runs take batch-size * iterations online steps",
+    )
+    p.add_argument(
+        "--iterations",
+        type=int,
+        default=pipeline.DEFAULT_N_ITERATIONS,
+        help="number of batches per class",
+    )
     p.add_argument(
         "--init",
         choices=("dsquared", "random_subset"),

@@ -22,6 +22,7 @@ from .measures import DiscreteMeasure, as_label_array
 from .quantize import (
     StepSchedule,
     clvq,
+    minibatch_kmeans,
     variance_reduced_weights,
 )
 from .risk import (
@@ -74,10 +75,13 @@ def distill(
 ) -> DistillationResult:
     """Quantize each class of a labeled cloud into weighted centroids.
 
-    Runs the online learner for ``batch_size * n_iterations`` steps per class
-    under its own sub-seed and the given step schedule (count-reciprocal
-    steps make it mini-batch k-means), and records centroids, raw win
-    counts, simplex weights, and the square-root variance-reduced weights.
+    Each class is quantized under its own sub-seed from
+    ``batch_size * n_iterations`` draws of its points. The count-reciprocal
+    schedule runs ``minibatch_kmeans``: ``n_iterations`` batches of
+    ``batch_size`` draws, each assigned against the centroids frozen at the
+    batch start. The harmonic schedule runs the online ``clvq`` learner, one
+    draw per step. Records centroids, raw win counts, simplex weights, and
+    the square-root variance-reduced weights.
 
     Raises
     ------
@@ -94,16 +98,19 @@ def distill(
         raise ValueError("batch_size and n_iterations must be positive")
     classes = []
     for label, class_points in _split_by_class(points, labels):
+        data = DiscreteMeasure.uniform(class_points)
         sub = class_subseed(seed, label)
         try:
-            result = clvq(
-                DiscreteMeasure.uniform(class_points),
-                per_class,
-                StepSchedule(schedule),
-                batch_size * n_iterations,
-                sub,
-                init_strategy=init_strategy,
-            )
+            if schedule == "count_reciprocal":
+                result = minibatch_kmeans(
+                    data, per_class, batch_size, n_iterations, sub,
+                    init_strategy=init_strategy,
+                )
+            else:
+                result = clvq(
+                    data, per_class, StepSchedule.harmonic(), batch_size * n_iterations,
+                    sub, init_strategy=init_strategy,
+                )
             reduced = variance_reduced_weights(result.counts)
         except (InsufficientPoints, EmptyCluster) as exc:
             raise type(exc)(f"class {label}: {exc}") from None
@@ -116,7 +123,7 @@ def distill(
                 variance_reduced=reduced,
             )
         )
-        del class_points  # so the next class is gathered with this one freed
+        del class_points, data  # so the next class is gathered with this one freed
     return DistillationResult(
         seed=int(seed),
         per_class=int(per_class),

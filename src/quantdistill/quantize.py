@@ -1,11 +1,17 @@
-"""Weighted vector quantization: online competitive learning and Lloyd refinement.
+"""Weighted vector quantization: online competitive learning, mini-batch
+k-means and Lloyd refinement.
 
 The online learner processes one sample per step: the nearest centroid (the
 winner) moves toward the sample by the current step size and a visit counter
 records raw win totals. Under the harmonic schedule a companion weight vector
 tracks each centroid's share of wins through the same averaging; under the
-count-reciprocal schedule, which makes the loop classical mini-batch k-means,
-the weights are the win shares ``counts / n_steps``.
+count-reciprocal schedule the weights are the win shares ``counts / n_steps``.
+
+Mini-batch k-means (Sculley 2010) takes the same seeding and samples a batch
+at a time: one distance pass assigns the batch against the centroids frozen
+at its start, and one one-hot matmul sums each cell, so each centroid makes
+all its count-reciprocal steps of the batch at once. At batch size 1 it is
+the online count-reciprocal learner.
 
 Lloyd refinement is the batch counterpart: each centroid jumps to the weighted
 mean of its cell until centroids stop moving. Empty cells are reseeded at the
@@ -149,22 +155,24 @@ class UniformCubeSampler:
 
 @dataclass(frozen=True)
 class WeightedQuantization:
-    """Result of an online quantization run.
+    """Result of an online or mini-batch quantization run.
 
     Attributes
     ----------
     grid : QuantizationGrid
         Final centroid positions.
     counts : ndarray, shape (K,)
-        Raw win totals per centroid; they sum to the number of steps.
+        Raw win totals per centroid; they sum to the number of samples.
     weights : ndarray, shape (K,)
         Voronoi cell-mass estimates in the probability simplex: the running
         companion average under the harmonic schedule, ``counts / n_steps``
         under the count-reciprocal one (its per-centroid steps do not
         average the wins).
     winner_sq_dists : ndarray
-        Per-step squared distance from the sample to the winner, measured
-        before the winner moved.
+        Per-sample squared distance from the sample to its winner, measured
+        before the winner moved: against the grid at the sample's own step
+        online, and against the grid at its batch's start in mini-batch
+        k-means.
     """
 
     grid: QuantizationGrid
@@ -250,6 +258,26 @@ def init_grid(
     raise ValueError(f"unknown init strategy {strategy!r}")
 
 
+def _seed_and_stream(sampler, n_centroids, n_steps, rng, init, init_strategy):
+    """Starting grid and sample stream ``(rows, order)`` of a competitive run.
+
+    When ``init`` is None, ``init_grid`` seeds from a uniform measure on
+    ``max(512, 32 K)`` draws of the sampler. The stream follows from the
+    same generator: a ``DiscreteMeasure`` gives its atoms and one
+    ``draw_indices(rng, n_steps)`` call, any other sampler its
+    ``draw(rng, n_steps)`` rows in order. Sample ``i`` is ``rows[order[i]]``.
+    """
+    if init is None:
+        pool = DiscreteMeasure.uniform(sampler.draw(rng, max(512, 32 * n_centroids)))
+        init = init_grid(pool, n_centroids, init_strategy, rng)
+    _check_same_dim(init.dim, sampler.dim)
+    if init.n_centroids != n_centroids:
+        raise ValueError("init grid size must equal n_centroids")
+    if isinstance(sampler, DiscreteMeasure):
+        return init, sampler.atoms, sampler.draw_indices(rng, n_steps)
+    return init, sampler.draw(rng, n_steps), np.arange(n_steps)
+
+
 def _competitive_loop(rows, order, x0, schedule: StepSchedule):
     x = x0.copy()
     k = x.shape[0]
@@ -270,6 +298,24 @@ def _competitive_loop(rows, order, x0, schedule: StepSchedule):
             w *= 1.0 - g
             w[win] += g
     return x, v, (w if harmonic else v / n), trace
+
+
+def _minibatch_loop(rows, order, x0, batch_size: int):
+    x = x0.copy()
+    cells = np.arange(x.shape[0])[:, None]
+    v = np.zeros(x.shape[0])
+    trace = np.empty(order.shape[0])
+    for start in range(0, order.shape[0], batch_size):
+        batch = rows[order[start:start + batch_size]]
+        win, trace[start:start + batch_size] = _nearest(batch, x)
+        # Cell sums by one matmul with a 0/1 matrix: np.add.at is far slower.
+        onehot = (cells == win).astype(np.float64)
+        n = onehot.sum(axis=1)
+        won = np.flatnonzero(n)
+        v[won] += n[won]
+        g = (n[won] / v[won])[:, None]
+        x[won] = (1.0 - g) * x[won] + g * ((onehot[won] @ batch) / n[won][:, None])
+    return x, v, trace
 
 
 def clvq(
@@ -323,17 +369,9 @@ def clvq(
         raise ValueError("n_steps must be positive")
     if not isinstance(schedule, StepSchedule):
         raise InvalidSchedule("schedule must be a StepSchedule")
-    rng = as_generator(seed)
-    if init is None:
-        pool = DiscreteMeasure.uniform(sampler.draw(rng, max(512, 32 * n_centroids)))
-        init = init_grid(pool, n_centroids, init_strategy, rng)
-    _check_same_dim(init.dim, sampler.dim)
-    if init.n_centroids != n_centroids:
-        raise ValueError("init grid size must equal n_centroids")
-    if isinstance(sampler, DiscreteMeasure):
-        rows, order = sampler.atoms, sampler.draw_indices(rng, n_steps)
-    else:
-        rows, order = sampler.draw(rng, n_steps), np.arange(n_steps)
+    init, rows, order = _seed_and_stream(
+        sampler, n_centroids, n_steps, as_generator(seed), init, init_strategy
+    )
     x, v, w, trace = _competitive_loop(rows, order, init.centroids, schedule)
     return WeightedQuantization(QuantizationGrid(x), v, w, trace)
 
@@ -347,23 +385,28 @@ def minibatch_kmeans(
     *,
     init_strategy: str = "dsquared",
 ) -> WeightedQuantization:
-    """Mini-batch k-means with per-centroid count-reciprocal steps.
+    """Mini-batch k-means (Sculley, *Web-scale k-means clustering*, 2010).
 
-    The online learner under the count-reciprocal schedule, fed
-    ``batch_size * n_iterations`` sequential weighted draws from ``data``, so
-    its result equals a same-seed ``clvq`` run bit for bit, weights
-    (``counts / n_steps``) included.
+    Seeds and draws exactly as ``clvq`` does from the same seed, then takes
+    the ``batch_size * n_iterations`` weighted draws from ``data`` in
+    ``n_iterations`` batches. Each batch is assigned to the centroids as they
+    stood at its start (ties to the lowest index). Every centroid j that won
+    ``n_j > 0`` samples of the batch adds them to its count ``v_j`` and moves
+    to ``(1 - g) x_j + g * mean_j`` with ``g = n_j / v_j``, where ``mean_j``
+    is the mean of its won samples: the result of Sculley's per-sample
+    count-reciprocal steps toward those samples. At batch size 1 this is the
+    online count-reciprocal ``clvq`` run, bit for bit. ``counts`` are the
+    ``v_j``, the weights ``counts / n_steps``, and ``winner_sq_dists`` holds
+    one entry per sample, measured against its batch's start grid.
     """
     if batch_size < 1 or n_iterations < 1:
         raise ValueError("batch_size and n_iterations must be positive")
-    return clvq(
-        data,
-        n_centroids,
-        StepSchedule.count_reciprocal(),
-        batch_size * n_iterations,
-        seed,
-        init_strategy=init_strategy,
+    n_steps = batch_size * n_iterations
+    init, rows, order = _seed_and_stream(
+        data, n_centroids, n_steps, as_generator(seed), None, init_strategy
     )
+    x, v, trace = _minibatch_loop(rows, order, init.centroids, batch_size)
+    return WeightedQuantization(QuantizationGrid(x), v, v / n_steps, trace)
 
 
 @dataclass(frozen=True)

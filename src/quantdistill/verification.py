@@ -12,8 +12,10 @@ fails.
 
 from __future__ import annotations
 
-import contextlib
-import io
+import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
@@ -279,7 +281,7 @@ def check_online_minibatch_equivalence(seed: int) -> list[CheckRecord]:
         2000,
         _sub(seed, 5, 0),
     )
-    batch = minibatch_kmeans(data, 4, 100, 20, _sub(seed, 5, 0))
+    batch = minibatch_kmeans(data, 4, 1, 2000, _sub(seed, 5, 0))
     grid_gap = float(np.abs(online.grid.centroids - batch.grid.centroids).max())
     count_gap = float(np.abs(online.counts - batch.counts).max())
     measured = max(grid_gap, count_gap)
@@ -288,7 +290,8 @@ def check_online_minibatch_equivalence(seed: int) -> list[CheckRecord]:
             claim="online_matches_minibatch",
             statement=(
                 "Under the count-reciprocal schedule and one seed, the online "
-                "learner and mini-batch k-means produce bitwise equal grids and counts."
+                "learner and mini-batch k-means at batch size 1 produce bitwise "
+                "equal grids and counts."
             ),
             measured=measured,
             target=0.0,
@@ -607,11 +610,21 @@ def check_gradient_discrepancy_weighting(seed: int) -> list[CheckRecord]:
     ]
 
 
+# Runs the command lines given as one JSON list, in order, through the CLI.
+_STAGE_RUNNER = """
+import json, sys
+from quantdistill import cli
+for argv in json.loads(sys.argv[1]):
+    status = cli.main(argv)
+    if status != 0:
+        sys.exit(f"command failed with status {status}: {argv}")
+"""
+
+
 def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
-    from . import cli
     from .latentio import load_train_report, save_labels, save_latents
 
-    mismatches = 0
+    package_root = str(Path(__file__).resolve().parents[1])
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         points, labels = demo_dataset(seed, n_per_class=300)
@@ -620,36 +633,54 @@ def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
         save_latents(latents, points)
         save_labels(labels_path, labels)
         cloud = ["--latents", str(latents), "--labels", str(labels_path)]
-        distilled = ["--distilled", str(tmp / "distilled_a.json")]
-        stages = (
-            ("distilled", ["distill", *cloud, "--ipc", "10"]),
-            ("transported", [
-                "diffuse", *distilled, *cloud, "--sde", "brownian", "--horizon", "1.0",
-                "--delta", "0.25", "--steps", "200", "--mc", "800",
-            ]),
-            ("report", [
-                "train", *distilled, "--weights", "variance_reduced",
-                "--model", "logistic", "--lr", "1.0", "--epochs", "200",
-            ]),
+        names = ("distilled", "transported", "report")
+        runs = []
+        # Two fresh processes, at one and at two BLAS threads, run concurrently.
+        for threads in ("1", "2"):
+            out = {name: str(tmp / f"{name}_{threads}.json") for name in names}
+            distilled = ["--distilled", out["distilled"]]
+            stages = [
+                ["distill", *cloud, "--ipc", "10"],
+                [
+                    "diffuse", *distilled, *cloud, "--sde", "brownian", "--horizon",
+                    "1.0", "--delta", "0.25", "--steps", "50", "--mc", "200",
+                ],
+                [
+                    "train", *distilled, "--weights", "variance_reduced",
+                    "--model", "logistic", "--lr", "1.0", "--epochs", "200",
+                ],
+            ]
+            argvs = [
+                [*argv, "--seed", str(seed), "--out", out[name]]
+                for name, argv in zip(names, stages)
+            ]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [package_root, env.get("PYTHONPATH")])
+            )
+            runs.append(subprocess.Popen(
+                [sys.executable, "-c", _STAGE_RUNNER, json.dumps(argvs)],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                text=True,
+            ))
+        errors = [proc.communicate()[1] for proc in runs]
+        for proc, err in zip(runs, errors):
+            if proc.returncode != 0:
+                raise RuntimeError(f"pipeline run failed: {err.strip()}")
+        mismatches = sum(
+            (tmp / f"{name}_1.json").read_bytes() != (tmp / f"{name}_2.json").read_bytes()
+            for name in names
         )
-        for name, argv in stages:
-            outputs = []
-            for tag in ("a", "b"):
-                out = tmp / f"{name}_{tag}.json"
-                args = [*argv, "--seed", str(seed), "--out", str(out)]
-                with contextlib.redirect_stdout(io.StringIO()):
-                    status = cli.main(args)
-                if status != 0:
-                    raise RuntimeError(f"command failed with status {status}: {args}")
-                outputs.append(out.read_bytes())
-            mismatches += outputs[0] != outputs[1]
-        accuracy = load_train_report(tmp / "report_a.json").train_accuracy
+        accuracy = load_train_report(tmp / "report_1.json").train_accuracy
     return [
         CheckRecord(
             claim="pipeline_byte_determinism",
             statement=(
-                "Rerunning distill, diffuse, and train with one seed reproduces "
-                "every output file byte for byte (count of differing stages)."
+                "Running distill, diffuse, and train with one seed in two fresh "
+                "processes, one at one BLAS thread and one at two, writes every "
+                "output file byte for byte the same (count of differing stages)."
             ),
             measured=float(mismatches),
             target=0.0,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import quantdistill
-from quantdistill import cli, verification
+from quantdistill import cli, quantize, verification
 
 ACCEPTANCE_SEED = 0
 
@@ -39,6 +39,22 @@ def test_gradient_smoothness_fails_for_a_doubled_gradient(monkeypatch):
 
     monkeypatch.setattr(verification, "loss_and_gradient", doubled)
     [record] = verification.check_gradient_smoothness_estimate(ACCEPTANCE_SEED)
+    assert record.passed is False, record.line()
+
+
+def test_online_minibatch_equivalence_fails_when_counts_restart_each_batch(monkeypatch):
+    # Counts not carried across batches: every batch starts from zero visits.
+    exact = quantize._minibatch_loop
+
+    def forgetful(rows, order, x0, batch_size):
+        x, counts, traces = x0, 0.0, []
+        for start in range(0, order.shape[0], batch_size):
+            x, v, trace = exact(rows, order[start:start + batch_size], x, batch_size)
+            counts, traces = counts + v, traces + [trace]
+        return x, counts, np.concatenate(traces)
+
+    monkeypatch.setattr(quantize, "_minibatch_loop", forgetful)
+    [record] = verification.check_online_minibatch_equivalence(ACCEPTANCE_SEED)
     assert record.passed is False, record.line()
 
 

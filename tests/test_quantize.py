@@ -197,14 +197,55 @@ def test_clvq_rejects_bad_arguments():
 
 
 def test_minibatch_kmeans_matches_online_run():
+    # At batch size 1 each batch is one online count-reciprocal step.
     rng = np.random.default_rng(10)
     data = DiscreteMeasure.uniform(rng.normal(size=(200, 2)))
     online = clvq(data, 3, StepSchedule.count_reciprocal(), 600, 11)
-    batch = minibatch_kmeans(data, 3, 60, 10, 11)
+    batch = minibatch_kmeans(data, 3, 1, 600, 11)
     np.testing.assert_array_equal(online.grid.centroids, batch.grid.centroids)
     np.testing.assert_array_equal(online.counts, batch.counts)
     np.testing.assert_array_equal(online.weights, batch.weights)
+    np.testing.assert_array_equal(online.winner_sq_dists, batch.winner_sq_dists)
     np.testing.assert_allclose(batch.weights, batch.counts / 600.0)
+
+
+def _sculley_reference(data, k, batch_size, n_iterations, seed):
+    """Plain-Python mini-batch k-means as Sculley (2010) states it.
+
+    Seeds and draws like ``clvq``; each batch is assigned against the grid
+    at its start, then every sample moves its centre by one
+    count-reciprocal step.
+    """
+    rng = np.random.default_rng(seed)
+    pool = DiscreteMeasure.uniform(data.draw(rng, max(512, 32 * k)))
+    centres = [list(map(float, c)) for c in init_grid(pool, k, "dsquared", rng).centroids]
+    order = data.draw_indices(rng, batch_size * n_iterations)
+    samples = [list(map(float, data.atoms[i])) for i in order]
+    counts = [0] * k
+    for start in range(0, len(samples), batch_size):
+        batch = samples[start:start + batch_size]
+        nearest = [
+            min(range(k), key=lambda j: sum((a - b) ** 2 for a, b in zip(s, centres[j])))
+            for s in batch
+        ]
+        for s, j in zip(batch, nearest):
+            counts[j] += 1
+            eta = 1.0 / counts[j]
+            centres[j] = [(1.0 - eta) * c + eta * a for c, a in zip(centres[j], s)]
+    return np.array(centres), np.array(counts, dtype=np.float64)
+
+
+def test_minibatch_kmeans_matches_plain_sculley_reference():
+    rng = np.random.default_rng(21)
+    data = DiscreteMeasure.uniform(rng.normal(size=(150, 3)) + rng.integers(0, 3, (150, 1)))
+    batch = minibatch_kmeans(data, 4, 16, 12, 5)
+    centres, counts = _sculley_reference(data, 4, 16, 12, 5)
+    np.testing.assert_array_equal(batch.counts, counts)
+    np.testing.assert_allclose(batch.grid.centroids, centres, rtol=1e-12)
+    np.testing.assert_array_equal(batch.weights, counts / 192.0)
+    assert batch.winner_sq_dists.shape == (192,)
+    online = clvq(data, 4, StepSchedule.count_reciprocal(), 192, 5)
+    assert not np.array_equal(batch.grid.centroids, online.grid.centroids)
 
 
 def test_count_reciprocal_weights_are_win_shares():
@@ -221,16 +262,25 @@ def test_distill_class_equals_direct_clvq_run(schedule):
     points, labels = demo_dataset(3, n_per_class=60, n_classes=2)
     result = distill(points, labels, 4, 7, schedule=schedule, batch_size=8, n_iterations=25)
     for cls in result.classes:
-        direct = clvq(
-            DiscreteMeasure.uniform(points[labels == cls.label]),
-            4,
-            StepSchedule(schedule),
-            200,
-            class_subseed(7, cls.label),
-        )
+        data = DiscreteMeasure.uniform(points[labels == cls.label])
+        sub = class_subseed(7, cls.label)
+        if schedule == "count_reciprocal":
+            direct = minibatch_kmeans(data, 4, 8, 25, sub)
+        else:
+            direct = clvq(data, 4, StepSchedule(schedule), 200, sub)
         np.testing.assert_array_equal(cls.centroids, direct.grid.centroids)
         np.testing.assert_array_equal(cls.counts, direct.counts)
         np.testing.assert_array_equal(cls.weights, direct.weights)
+
+
+def test_batched_distill_names_the_class_whose_centroid_never_wins():
+    # Class 1 is 100 copies of one point and a far outlier: the seeding picks
+    # the outlier, and 16 draws never reach it.
+    blob = np.random.default_rng(0).normal(size=(40, 2))
+    points = np.vstack([blob, np.full((100, 2), 10.0), [[50.0, 50.0]]])
+    labels = np.repeat([0, 1], [40, 101])
+    with pytest.raises(EmptyCluster, match="class 1"):
+        distill(points, labels, 2, 0, batch_size=4, n_iterations=4)
 
 
 @pytest.mark.parametrize("schedule", ["count_reciprocal", "harmonic"])
