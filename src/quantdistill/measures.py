@@ -186,8 +186,9 @@ class QuantizationGrid:
 
     def __post_init__(self):
         centroids = as_point_array(self.centroids, "centroids")
-        # Pairwise distinctness: duplicate rows would make cell assignment ambiguous.
-        if np.unique(centroids, axis=0).shape[0] != centroids.shape[0]:
+        # Pairwise distinctness: duplicate rows would make cell assignment
+        # ambiguous. Adding 0.0 folds -0.0 into 0.0, so equal rows have equal bytes.
+        if len({row.tobytes() for row in centroids + 0.0}) != centroids.shape[0]:
             raise ValueError("centroids must be pairwise distinct")
         object.__setattr__(self, "centroids", centroids)
 

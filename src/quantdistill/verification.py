@@ -611,9 +611,16 @@ def check_gradient_discrepancy_weighting(seed: int) -> list[CheckRecord]:
 
 
 # Runs the command lines given as one JSON list, in order, through the CLI.
+# The second argument picks how distill maps its classes: "pool" forks one
+# worker per class whatever the host, "pinned" binds the process to one CPU
+# first, so distill's worker count there is 1.
 _STAGE_RUNNER = """
-import json, sys
-from quantdistill import cli
+import json, os, sys
+if sys.argv[2] == "pinned" and hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from quantdistill import cli, pipeline
+if sys.argv[2] == "pool":
+    pipeline._class_workers = lambda n_classes, work: n_classes
 for argv in json.loads(sys.argv[1]):
     status = cli.main(argv)
     if status != 0:
@@ -635,9 +642,10 @@ def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
         cloud = ["--latents", str(latents), "--labels", str(labels_path)]
         names = ("distilled", "transported", "report")
         runs = []
-        # Two fresh processes, at one and at two BLAS threads, run concurrently.
-        for threads in ("1", "2"):
-            out = {name: str(tmp / f"{name}_{threads}.json") for name in names}
+        # Two fresh processes run concurrently: one at one BLAS thread with a
+        # worker process per class, one at two BLAS threads on one CPU.
+        for mode, threads in (("pool", "1"), ("pinned", "2")):
+            out = {name: str(tmp / f"{name}_{mode}.json") for name in names}
             distilled = ["--distilled", out["distilled"]]
             stages = [
                 ["distill", *cloud, "--ipc", "10"],
@@ -659,7 +667,7 @@ def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
                 filter(None, [package_root, env.get("PYTHONPATH")])
             )
             runs.append(subprocess.Popen(
-                [sys.executable, "-c", _STAGE_RUNNER, json.dumps(argvs)],
+                [sys.executable, "-c", _STAGE_RUNNER, json.dumps(argvs), mode],
                 env=env,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.PIPE,
@@ -670,17 +678,19 @@ def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
             if proc.returncode != 0:
                 raise RuntimeError(f"pipeline run failed: {err.strip()}")
         mismatches = sum(
-            (tmp / f"{name}_1.json").read_bytes() != (tmp / f"{name}_2.json").read_bytes()
+            (tmp / f"{name}_pool.json").read_bytes() != (tmp / f"{name}_pinned.json").read_bytes()
             for name in names
         )
-        accuracy = load_train_report(tmp / "report_1.json").train_accuracy
+        accuracy = load_train_report(tmp / "report_pool.json").train_accuracy
     return [
         CheckRecord(
             claim="pipeline_byte_determinism",
             statement=(
                 "Running distill, diffuse, and train with one seed in two fresh "
-                "processes, one at one BLAS thread and one at two, writes every "
-                "output file byte for byte the same (count of differing stages)."
+                "processes, one at one BLAS thread with distill's classes on a "
+                "worker process each and one at two BLAS threads pinned to one "
+                "CPU, so with no workers, writes every output file byte for byte "
+                "the same (count of differing stages)."
             ),
             measured=float(mismatches),
             target=0.0,

@@ -58,6 +58,21 @@ def test_online_minibatch_equivalence_fails_when_counts_restart_each_batch(monke
     assert record.passed is False, record.line()
 
 
+def test_pipeline_determinism_fails_for_a_subseed_keyed_on_the_worker(monkeypatch):
+    # Planted in both fresh processes before their stages run: a class's
+    # sub-seed also depends on whether a pool worker quantizes it.
+    fault = (
+        "import multiprocessing, numpy\n"
+        "from quantdistill import pipeline\n"
+        "pipeline.class_subseed = lambda seed, label: numpy.random.SeedSequence(\n"
+        "    (seed, label, int(multiprocessing.parent_process() is not None)))\n"
+    )
+    monkeypatch.setattr(verification, "_STAGE_RUNNER", fault + verification._STAGE_RUNNER)
+    byte_record, _ = verification.check_pipeline_determinism(ACCEPTANCE_SEED)
+    assert byte_record.claim == "pipeline_byte_determinism"
+    assert byte_record.passed is False, byte_record.line()
+
+
 def test_registry_covers_every_suite():
     keys = [spec.key for spec in verification.CHECKS]
     assert len(keys) == len(set(keys))

@@ -242,6 +242,25 @@ def test_grid_rejects_duplicate_centroids():
     assert grid.dim == 2
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[3.0, 0.5, -1.0], [2.0, 0.0, 1.0], [3.0, 0.5, -1.0]],  # exact duplicates, apart
+        [[0.0, 1.0, -0.0], [-0.0, 1.0, 0.0]],  # equal up to the sign of zero
+        [[-0.0, -0.0, -0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+    ],
+)
+def test_grid_distinctness_compares_values_not_the_sign_of_zero(rows):
+    rows = np.array(rows)
+    assert np.unique(rows, axis=0).shape[0] < rows.shape[0]  # np.unique's verdict
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        QuantizationGrid(rows)
+    # The check reads a copy: a rejected grid leaves its input's zeros signed.
+    assert np.signbit(rows).any()
+    # Rows differing by one ulp, or in a zero against a nonzero, are distinct.
+    QuantizationGrid(np.array([[0.0, 1.0], [0.0, np.nextafter(1.0, 2.0)], [-1e-300, 1.0]]))
+
+
 def test_voronoi_partition_masses_and_centroids():
     mu = DiscreteMeasure(
         np.array([[0.0], [0.2], [1.0], [1.4]]),
