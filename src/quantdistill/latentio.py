@@ -37,7 +37,7 @@ from .errors import (
     QuantDistillError,
     TruncatedFile,
 )
-from .measures import as_label_array
+from .measures import as_label_array, as_point_array
 
 MAGIC = b"OQDL"
 BINARY_VERSION = 1
@@ -77,11 +77,7 @@ def _write_atomically(path, data: bytes) -> None:
 def save_latents(path, points) -> None:
     """Write a point cloud in the binary format, or CSV for ``*.csv`` paths."""
     path = Path(path)
-    arr = np.ascontiguousarray(points, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError("points must be a nonempty 2-d array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("points must be finite")
+    arr = as_point_array(points)
     if path.suffix == ".csv":
         header = ",".join(f"dim{i}" for i in range(arr.shape[1]))
         lines = [header]

@@ -53,17 +53,6 @@ def class_subseed(master_seed: int, label: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((master_seed, label))
 
 
-def _split_by_class(points: np.ndarray, labels: np.ndarray):
-    """``(label, class points)`` for each class in label order, gathered lazily.
-
-    The labels are validated at the call; each class's points are copied out
-    only when the iteration reaches it, so a caller that drops each class
-    before taking the next holds one class copy at a time.
-    """
-    labels = as_label_array(labels, points.shape[0])
-    return ((c, points[labels == c]) for c in range(int(labels.max()) + 1))
-
-
 def distill(
     points,
     labels,
@@ -97,6 +86,8 @@ def distill(
         If a centroid never wins, so its reweighting is undefined; rerun
         with more iterations or fewer centroids per class. Either error
         names the lowest failing class.
+    concurrent.futures.process.BrokenProcessPool
+        If a worker process dies, for instance killed by a signal.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if schedule not in ("count_reciprocal", "harmonic"):
@@ -120,10 +111,10 @@ def distill(
 
 
 def _quantize_class(
-    label, class_points, per_class, seed, schedule, batch_size, n_iterations, init_strategy
+    label, points, labels, per_class, seed, schedule, batch_size, n_iterations, init_strategy
 ) -> ClassQuantization:
-    """One class of ``distill``: quantize its points under the class sub-seed."""
-    data = DiscreteMeasure.uniform(class_points)
+    """One class of ``distill``: gather its points and quantize them under the class sub-seed."""
+    data = DiscreteMeasure.uniform(points[labels == label])
     sub = class_subseed(seed, label)
     try:
         if schedule == "count_reciprocal":
@@ -184,38 +175,37 @@ def _map_classes(points, labels, settings, workers: int) -> list[ClassQuantizati
     With one worker it is an in-order loop that holds one class copy at a
     time. Otherwise a fork pool inherits the cloud, labels and settings, the
     tasks are the labels, and each worker gathers its own class; results and
-    the first error come back in label order, and the pool is gone when this
-    returns.
+    the first error come back in label order, a worker that dies raises
+    ``BrokenProcessPool``, and the pool is gone when this returns.
     """
+    classes = range(int(labels.max()) + 1)
     if workers <= 1:
-        classes = []
-        for label, class_points in _split_by_class(points, labels):
-            classes.append(_quantize_class(label, class_points, *settings))
-            del class_points  # so the next class is gathered with this one freed
-        return classes
+        return [_quantize_class(label, points, labels, *settings) for label in classes]
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_start_class_worker, initargs=(points, labels, settings)
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_class_worker,
+        initargs=(points, labels, *settings),
     )
     try:
-        return list(pool.imap(_pooled_class, range(int(labels.max()) + 1)))
+        return list(pool.map(_pooled_class, classes))
     finally:
-        pool.terminate()
-        pool.join()
+        pool.shutdown(cancel_futures=True)
 
 
-_worker_state = None  # (points, labels, settings), set in each pool worker
+_worker_state = None  # (points, labels, *settings), set in each pool worker
 
 
-def _start_class_worker(points, labels, settings) -> None:
+def _start_class_worker(*state) -> None:
     global _worker_state
-    _worker_state = (points, labels, settings)
+    _worker_state = state
 
 
 def _pooled_class(label: int) -> ClassQuantization:
-    points, labels, settings = _worker_state
-    return _quantize_class(label, points[labels == label], *settings)
+    return _quantize_class(label, *_worker_state)
 
 
 def build_dataset(result: DistillationResult, weight_mode: str) -> WeightedDataset:
@@ -263,31 +253,32 @@ def diffuse(
         raise DimensionError(
             f"reference points must have dimension {result.dim}"
         )
-    by_class = dict(_split_by_class(ref_points, ref_labels))
+    ref_labels = as_label_array(ref_labels, ref_points.shape[0])
     test_fn = LipschitzFunction.distance_to(np.zeros(result.dim))
-    classes = []
-    for cls in sorted(result.classes, key=lambda c: c.label):
-        if cls.label not in by_class:
-            raise ValueError(f"reference data has no points for class {cls.label}")
-        ref = ReferenceLaw(DiscreteMeasure.uniform(by_class[cls.label]))
-        quantized = DiscreteMeasure.from_unnormalized(cls.centroids, cls.weights)
-        transported, report = transport_quantization(
-            ref, sde, quantized, test_fn, n_mc, class_subseed(seed, cls.label)
-        )
-        classes.append(
-            ClassTransport(
-                label=cls.label,
-                atoms=transported.atoms,
-                weights=transported.weights,
-                report=report,
-            )
-        )
     return TransportedResult(
         seed=int(seed),
         process=sde,
         n_mc=int(n_mc),
         test_function="distance_to_origin",
-        classes=tuple(classes),
+        classes=tuple(
+            _transport_class(cls, ref_points, ref_labels, sde, test_fn, n_mc, seed)
+            for cls in sorted(result.classes, key=lambda c: c.label)
+        ),
+    )
+
+
+def _transport_class(cls, points, labels, sde, test_fn, n_mc, seed) -> ClassTransport:
+    """One class of ``diffuse``: gather its reference points, carry its centroids back."""
+    class_points = points[labels == cls.label]
+    if class_points.shape[0] == 0:
+        raise ValueError(f"reference data has no points for class {cls.label}")
+    ref = ReferenceLaw(DiscreteMeasure.uniform(class_points))
+    quantized = DiscreteMeasure.from_unnormalized(cls.centroids, cls.weights)
+    transported, report = transport_quantization(
+        ref, sde, quantized, test_fn, n_mc, class_subseed(seed, cls.label)
+    )
+    return ClassTransport(
+        label=cls.label, atoms=transported.atoms, weights=transported.weights, report=report
     )
 
 

@@ -13,6 +13,7 @@ from quantdistill import cli, latentio, verification
 from quantdistill.diffusion import BoundReport, SdeSpec
 from quantdistill.errors import (
     BadMagic,
+    DimensionError,
     EmptyFile,
     LatentFileError,
     NonFiniteValue,
@@ -38,7 +39,7 @@ from quantdistill.latentio import (
     save_train_report,
     save_transported,
 )
-from quantdistill.pipeline import demo_dataset, distill, train
+from quantdistill.pipeline import demo_dataset, diffuse, distill, train
 from quantdistill.verification import CheckRecord, CheckSpec
 
 
@@ -90,6 +91,18 @@ def test_latents_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(load_latents(path), points)
     header = path.read_text().splitlines()[0]
     assert header == "dim0,dim1"
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+@pytest.mark.parametrize(
+    "points",
+    [np.arange(3.0), np.empty((0, 2)), np.array([[0.0, 1.0], [np.nan, 2.0]])],
+    ids=["1-d", "empty", "nan"],
+)
+def test_save_latents_refuses_bad_points_and_writes_nothing(tmp_path, points, suffix):
+    with pytest.raises(ValueError, match="^points must"):
+        save_latents(tmp_path / f"cloud{suffix}", points)
+    assert os.listdir(tmp_path) == []
 
 
 def test_load_latents_error_cases(tmp_path):
@@ -644,6 +657,36 @@ def test_cli_diffuse_writes_reports(tmp_path, capsys):
     loaded = load_transported(out)
     assert loaded.process.kind == "ornstein_uhlenbeck"
     assert len(loaded.classes) == 2
+
+
+def test_diffuse_needs_reference_points_for_every_distilled_class(tmp_path, capsys):
+    points, labels = demo_dataset(0, n_per_class=40, n_classes=3)
+    distilled = tmp_path / "distilled.json"
+    save_distillation(distilled, distill(points, labels, 3, 0))
+    kept = labels < 2  # the reference has no class 2
+    sde = SdeSpec("brownian", 1.0, 0.25, 10)
+    with pytest.raises(ValueError, match="^reference data has no points for class 2$"):
+        diffuse(load_distillation(distilled), points[kept], labels[kept], sde, 20, 0)
+
+    latents, labels_path = tmp_path / "ref.bin", tmp_path / "ref_labels.txt"
+    save_latents(latents, points[kept])
+    save_labels(labels_path, labels[kept])
+    out = tmp_path / "transported.json"
+    status = cli.main([
+        "diffuse", "--distilled", str(distilled), "--latents", str(latents),
+        "--labels", str(labels_path), "--steps", "10", "--mc", "20",
+        "--seed", "0", "--out", str(out),
+    ])
+    assert status == 2
+    assert "error: reference data has no points for class 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diffuse_rejects_a_reference_of_the_wrong_dimension():
+    points, labels = demo_dataset(0, n_per_class=40, n_classes=2, dim=3)
+    result = distill(points, labels, 3, 0)
+    with pytest.raises(DimensionError, match="dimension 3"):
+        diffuse(result, points[:, :2], labels, SdeSpec("brownian", 1.0, 0.25, 10), 20, 0)
 
 
 def test_cli_train_names_the_document_with_a_nonfinite_centroid(tmp_path, capsys):
