@@ -29,7 +29,7 @@ def main():
     mu = skewed_clusters(rng)
     print("data: three clusters holding 70% / 20% / 10% of the points")
 
-    grid = lloyd(mu, init_grid(mu, 3, "dsquared", rng)).grid
+    grid = lloyd(mu, init_grid(mu, 3, rng)).grid
     comparison = compare_weighting(mu, grid)
     print(f"W2 with cell-mass weights: {comparison.weighted_w2:.4f}")
     print(f"W2 with uniform weights:   {comparison.uniform_w2:.4f}")

@@ -42,7 +42,7 @@ def main():
     print(f"\nhorizon marginal: mean {noisy.atoms.mean():+.4f}, var {noisy.atoms.var():.4f}")
     print("(Brownian noising adds variance t=1 on top of the reference spread of 1)")
 
-    grid = lloyd(noisy, init_grid(noisy, 6, "dsquared", np.random.default_rng(6))).grid
+    grid = lloyd(noisy, init_grid(noisy, 6, np.random.default_rng(6))).grid
     quantized = project_to_grid(noisy, grid)
     test_fn = LipschitzFunction.distance_to(np.array([0.3]))
     transported, report = transport_quantization(ref, sde, quantized, test_fn, 3000, 11)

@@ -1,4 +1,4 @@
-"""Training a classifier on distilled points with companion weights.
+"""Training a classifier on distilled points with cell-mass weights.
 
 Per-class quantization shrinks each class to a handful of centroids with
 cell masses attached. Keeping those masses as loss weights makes the
@@ -50,7 +50,7 @@ def main():
 
     clf, report = train(
         result,
-        weight_mode="variance_reduced",
+        weight_mode="normalized",
         model="logistic",
         learning_rate=1.0,
         epochs=200,

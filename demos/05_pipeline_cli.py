@@ -48,8 +48,7 @@ def main():
 
         report_path = str(root / "train.json")
         run(
-            "train", "--distilled", distilled,
-            "--weights", "variance_reduced", "--model", "logistic",
+            "train", "--distilled", distilled, "--model", "logistic",
             "--lr", "1.0", "--epochs", "200", "--seed", "0",
             "--eval-latents", latents, "--eval-labels", labels_path,
             "--out", report_path,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import latentio, pipeline, verification
 from .diffusion import BROWNIAN, ORNSTEIN_UHLENBECK, SdeSpec
-from .errors import QuantDistillError
+from .errors import DimensionError, QuantDistillError
 from .measures import DiscreteMeasure
 from .pipeline import WEIGHT_MODES
 from .quantize import UniformCubeSampler
@@ -58,10 +58,8 @@ def cmd_distill(args) -> int:
         labels,
         args.ipc,
         seed,
-        schedule=args.schedule,
         batch_size=args.batch_size,
         n_iterations=args.iterations,
-        init_strategy=args.init,
     )
     latentio.save_distillation(args.out, result)
     n_classes = len(result.classes)
@@ -76,6 +74,14 @@ def cmd_diffuse(args) -> int:
     seed = _resolve_seed(args.seed)
     result = latentio.load_distillation(args.distilled)
     points, labels = _load_cloud(args.latents, args.labels)
+    if points.shape[1] != result.dim:
+        raise DimensionError(
+            f"reference points in {args.latents} have dimension {points.shape[1]}, "
+            f"but {args.distilled} has dimension {result.dim}"
+        )
+    missing = [cls.label for cls in result.classes if cls.label > labels.max()]
+    if missing:
+        raise ValueError(f"{args.labels}: reference data has no points for class {min(missing)}")
     sde = SdeSpec(args.sde, args.horizon, args.delta, args.steps)
     transported = pipeline.diffuse(result, points, labels, sde, args.mc, seed)
     latentio.save_transported(args.out, transported)
@@ -212,30 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument(
-        "--schedule",
-        choices=("count_reciprocal", "harmonic"),
-        default="count_reciprocal",
-        help="step size rule: count_reciprocal runs mini-batch k-means, "
-        "harmonic the online learner",
-    )
-    p.add_argument(
         "--batch-size",
         type=int,
         default=pipeline.DEFAULT_BATCH_SIZE,
-        help="draws per mini-batch k-means batch (count_reciprocal); harmonic "
-        "runs take batch-size * iterations online steps",
+        help="draws per mini-batch k-means batch",
     )
     p.add_argument(
         "--iterations",
         type=int,
         default=pipeline.DEFAULT_N_ITERATIONS,
         help="number of batches per class",
-    )
-    p.add_argument(
-        "--init",
-        choices=("dsquared", "random_subset"),
-        default="dsquared",
-        help="centroid seeding strategy",
     )
     p.set_defaults(func=cmd_distill)
 
@@ -266,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--weights",
         choices=WEIGHT_MODES,
-        default="variance_reduced",
-        help="loss weight mode",
+        default="normalized",
+        help="loss weights: the cell masses (normalized) or all ones (uniform)",
     )
     p.add_argument(
         "--model",

@@ -324,7 +324,7 @@ def verify_main_theorem(
     """
     seed_fwd, seed_quant, seed_mu, seed_nu = _spawn(seed, 4)
     mu_end = forward_marginal(ref, sde, sde.horizon, n_mc, seed_fwd)
-    fit = lloyd(mu_end, init_grid(mu_end, n_centroids, "dsquared", seed_quant))
+    fit = lloyd(mu_end, init_grid(mu_end, n_centroids, seed_quant))
     nu_end = DiscreteMeasure.from_unnormalized(fit.grid.centroids, fit.partition.cell_mass)
     report, _, _ = _bound_report(ref, sde, mu_end, nu_end, test_fn, seed_mu, seed_nu)
     return report

@@ -210,7 +210,7 @@ def load_labels(path, n_expected: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassQuantization:
-    """One class's distilled centroids with counts and both weight vectors.
+    """One class's distilled centroids with their win counts and cell-mass weights.
 
     ``centroids`` is ``(K, dim)`` and the other arrays hold one entry per centroid.
     """
@@ -219,13 +219,12 @@ class ClassQuantization:
     centroids: np.ndarray
     counts: np.ndarray
     weights: np.ndarray
-    variance_reduced: np.ndarray
 
     def __post_init__(self):
         if np.ndim(self.centroids) != 2:
             raise ValueError(f"centroids must be 2-d, got shape {np.shape(self.centroids)}")
         k = len(self.centroids)
-        for name in ("counts", "weights", "variance_reduced"):
+        for name in ("counts", "weights"):
             if np.shape(getattr(self, name)) != (k,):
                 raise ValueError(f"{name} must hold one entry per centroid ({k})")
 
@@ -237,10 +236,8 @@ class DistillationResult:
     seed: int
     per_class: int
     dim: int
-    schedule: str
     batch_size: int
     n_iterations: int
-    init_strategy: str
     classes: tuple[ClassQuantization, ...]
 
     def __post_init__(self):
@@ -313,7 +310,8 @@ def _encode(value):
 def _decode(kind, value, name: str):
     """Rebuild a ``kind`` from its JSON form, following the type annotations.
 
-    Dataclasses and ``tuple[X, ...]`` recurse and ``X | None`` accepts null.
+    Dataclasses and ``tuple[X, ...]`` recurse, ignoring keys that are not
+    fields, and ``X | None`` accepts null.
     Arrays must be numeric and finite: int64 when every entry is a JSON
     integer, float64 otherwise. A scalar must already be of its JSON kind: an
     ``int`` field takes only integers, a ``float`` field any number (with the

@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from .diffusion import ReferenceLaw, SdeSpec, transport_quantization
-from .errors import DimensionError, EmptyCluster, InsufficientPoints
+from .errors import DimensionError, EmptyCluster, InsufficientPoints, QuantDistillError
 from .latentio import (
     ClassQuantization,
     ClassTransport,
@@ -21,12 +21,7 @@ from .latentio import (
     TransportedResult,
 )
 from .measures import DiscreteMeasure, as_label_array
-from .quantize import (
-    StepSchedule,
-    clvq,
-    minibatch_kmeans,
-    variance_reduced_weights,
-)
+from .quantize import minibatch_kmeans
 from .risk import (
     LipschitzFunction,
     TinyClassifier,
@@ -36,7 +31,7 @@ from .risk import (
     train_weighted,
 )
 
-WEIGHT_MODES = ("variance_reduced", "normalized", "uniform")
+WEIGHT_MODES = ("normalized", "uniform")
 DEFAULT_BATCH_SIZE = 64
 DEFAULT_N_ITERATIONS = 200
 
@@ -59,20 +54,15 @@ def distill(
     per_class: int,
     seed: int,
     *,
-    schedule: str = "count_reciprocal",
     batch_size: int = DEFAULT_BATCH_SIZE,
     n_iterations: int = DEFAULT_N_ITERATIONS,
-    init_strategy: str = "dsquared",
 ) -> DistillationResult:
     """Quantize each class of a labeled cloud into weighted centroids.
 
-    Each class is quantized under its own sub-seed from
-    ``batch_size * n_iterations`` draws of its points. The count-reciprocal
-    schedule runs ``minibatch_kmeans``: ``n_iterations`` batches of
-    ``batch_size`` draws, each assigned against the centroids frozen at the
-    batch start. The harmonic schedule runs the online ``clvq`` learner, one
-    draw per step. Records centroids, raw win counts, simplex weights, and
-    the square-root variance-reduced weights.
+    Each class runs ``minibatch_kmeans`` under its own sub-seed: D² seeding,
+    then ``n_iterations`` batches of ``batch_size`` draws of its points,
+    each assigned against the centroids frozen at the batch start. Records
+    centroids, raw win counts and the cell-mass weights ``counts / draws``.
 
     Large classes are quantized on a pool of forked worker processes, as
     many as the usable CPUs hold at the BLAS thread count; the result is
@@ -83,59 +73,51 @@ def distill(
     InsufficientPoints
         If a class has fewer distinct points than ``per_class``.
     EmptyCluster
-        If a centroid never wins, so its reweighting is undefined; rerun
-        with more iterations or fewer centroids per class. Either error
-        names the lowest failing class.
-    concurrent.futures.process.BrokenProcessPool
+        If a centroid never wins a draw, so its cell mass would be zero;
+        rerun with more iterations or fewer centroids per class. Either
+        error names the lowest failing class, and this one the centroid.
+    QuantDistillError
         If a worker process dies, for instance killed by a signal.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
-    if schedule not in ("count_reciprocal", "harmonic"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     if batch_size < 1 or n_iterations < 1:
         raise ValueError("batch_size and n_iterations must be positive")
     labels = as_label_array(labels, points.shape[0])
-    settings = (per_class, seed, schedule, batch_size, n_iterations, init_strategy)
+    settings = (per_class, seed, batch_size, n_iterations)
     work = batch_size * n_iterations * per_class * points.shape[1]
     workers = _class_workers(int(labels.max()) + 1, work)
     return DistillationResult(
         seed=int(seed),
         per_class=int(per_class),
         dim=int(points.shape[1]),
-        schedule=schedule,
         batch_size=int(batch_size),
         n_iterations=int(n_iterations),
-        init_strategy=init_strategy,
         classes=tuple(_map_classes(points, labels, settings, workers)),
     )
 
 
 def _quantize_class(
-    label, points, labels, per_class, seed, schedule, batch_size, n_iterations, init_strategy
+    label, points, labels, per_class, seed, batch_size, n_iterations
 ) -> ClassQuantization:
     """One class of ``distill``: gather its points and quantize them under the class sub-seed."""
     data = DiscreteMeasure.uniform(points[labels == label])
-    sub = class_subseed(seed, label)
     try:
-        if schedule == "count_reciprocal":
-            result = minibatch_kmeans(
-                data, per_class, batch_size, n_iterations, sub,
-                init_strategy=init_strategy,
-            )
-        else:
-            result = clvq(
-                data, per_class, StepSchedule.harmonic(), batch_size * n_iterations,
-                sub, init_strategy=init_strategy,
-            )
-        reduced = variance_reduced_weights(result.counts)
-    except (InsufficientPoints, EmptyCluster) as exc:
-        raise type(exc)(f"class {label}: {exc}") from None
+        result = minibatch_kmeans(
+            data, per_class, batch_size, n_iterations, class_subseed(seed, label)
+        )
+    except InsufficientPoints as exc:
+        raise InsufficientPoints(f"class {label}: {exc}") from None
+    never_won = np.flatnonzero(result.counts == 0)
+    if never_won.size:
+        raise EmptyCluster(
+            f"class {label}: centroid {never_won[0]} never won a draw; "
+            "rerun with more iterations or fewer centroids per class"
+        )
     return ClassQuantization(
         label=label,
         centroids=result.grid.centroids,
         counts=result.counts.astype(np.int64),
         weights=result.weights,
-        variance_reduced=reduced,
     )
 
 
@@ -176,13 +158,14 @@ def _map_classes(points, labels, settings, workers: int) -> list[ClassQuantizati
     time. Otherwise a fork pool inherits the cloud, labels and settings, the
     tasks are the labels, and each worker gathers its own class; results and
     the first error come back in label order, a worker that dies raises
-    ``BrokenProcessPool``, and the pool is gone when this returns.
+    ``QuantDistillError``, and the pool is gone when this returns.
     """
     classes = range(int(labels.max()) + 1)
     if workers <= 1:
         return [_quantize_class(label, points, labels, *settings) for label in classes]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(
         workers,
@@ -192,6 +175,8 @@ def _map_classes(points, labels, settings, workers: int) -> list[ClassQuantizati
     )
     try:
         return list(pool.map(_pooled_class, classes))
+    except BrokenProcessPool as exc:
+        raise QuantDistillError(f"a distill worker process died: {exc}") from exc
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -211,8 +196,7 @@ def _pooled_class(label: int) -> ClassQuantization:
 def build_dataset(result: DistillationResult, weight_mode: str) -> WeightedDataset:
     """Stack distilled classes into one labeled, weighted training set.
 
-    ``variance_reduced`` uses the square-root count weights, ``normalized``
-    the simplex weights, and ``uniform`` all ones.
+    ``normalized`` uses the cell-mass weights and ``uniform`` all ones.
     """
     if weight_mode not in WEIGHT_MODES:
         raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
@@ -221,12 +205,7 @@ def build_dataset(result: DistillationResult, weight_mode: str) -> WeightedDatas
         k = cls.centroids.shape[0]
         blocks.append(cls.centroids)
         labels.append(np.full(k, cls.label, dtype=np.intp))
-        if weight_mode == "variance_reduced":
-            weights.append(cls.variance_reduced)
-        elif weight_mode == "normalized":
-            weights.append(cls.weights)
-        else:
-            weights.append(np.ones(k))
+        weights.append(cls.weights if weight_mode == "normalized" else np.ones(k))
     return WeightedDataset(
         np.vstack(blocks), np.concatenate(labels), np.concatenate(weights)
     )
@@ -302,7 +281,7 @@ def parse_model(model: str, n_inputs: int, n_classes: int) -> TinyClassifier:
 def train(
     result: DistillationResult,
     *,
-    weight_mode: str = "variance_reduced",
+    weight_mode: str = "normalized",
     model: str = "logistic",
     learning_rate: float = 1.0,
     epochs: int = 200,

@@ -11,7 +11,9 @@ Mini-batch k-means (Sculley 2010) takes the same seeding and samples a batch
 at a time: one distance pass assigns the batch against the centroids frozen
 at its start, and one one-hot matmul sums each cell, so each centroid makes
 all its count-reciprocal steps of the batch at once. At batch size 1 it is
-the online count-reciprocal learner.
+the online count-reciprocal learner. It is what ``pipeline.distill`` runs on
+each class. Both learners, unless given a starting grid, seed one by D²
+sampling (``init_grid``) from their own draws.
 
 Lloyd refinement is the batch counterpart: each centroid jumps to the weighted
 mean of its cell until centroids stop moving. Empty cells are reseeded at the
@@ -26,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyCluster,
-    InsufficientPoints,
-    InvalidSchedule,
-    QuantDistillError,
-)
+from .errors import InsufficientPoints, InvalidSchedule, QuantDistillError
 from .measures import (
     DiscreteMeasure,
     QuantizationGrid,
@@ -198,13 +195,14 @@ class WeightedQuantization:
         object.__setattr__(self, "weights", weights)
 
 
-def init_grid(
-    mu: DiscreteMeasure,
-    n_centroids: int,
-    strategy: str = "dsquared",
-    seed=None,
-) -> QuantizationGrid:
-    """Choose initial centroids among the atoms of a measure.
+def init_grid(mu: DiscreteMeasure, n_centroids: int, seed) -> QuantizationGrid:
+    """Choose initial centroids among the atoms of a measure by D² seeding.
+
+    The first centroid is picked by weight and each later one with
+    probability proportional to weight times squared distance to the nearest
+    chosen centroid (Arthur & Vassilvitskii, *k-means++*, 2007), which
+    spreads seeds across separated modes. Each pick is one inverse-CDF
+    lookup; K-1 distance passes serve them.
 
     Parameters
     ----------
@@ -212,12 +210,6 @@ def init_grid(
         Seeding pool; ``clvq`` pools a sampler's own draws into one.
     n_centroids : int
         Number of centroids K.
-    strategy : {"dsquared", "random_subset"}
-        ``dsquared`` picks the first centroid by weight and each later one
-        with probability proportional to weight times squared distance to the
-        nearest chosen centroid, which spreads seeds across separated modes.
-        Each pick is one inverse-CDF lookup; K-1 distance passes serve them.
-        ``random_subset`` picks K distinct atoms uniformly.
     seed : int, SeedSequence, or Generator
 
     Raises
@@ -229,36 +221,25 @@ def init_grid(
         raise ValueError("n_centroids must be positive")
     rng = as_generator(seed)
     atoms, weights = mu.atoms, mu.weights
-    if strategy == "dsquared":
-        chosen = np.empty(n_centroids, dtype=np.intp)
-        d2 = np.full(atoms.shape[0], np.inf)
-        scores = weights
-        for k in range(n_centroids):
-            cdf = np.cumsum(scores)
-            if cdf[-1] <= 0:
-                raise InsufficientPoints(
-                    f"only {k} distinct points available for {n_centroids} centroids"
-                )
-            chosen[k] = _inverse_cdf(cdf, rng.random() * cdf[-1])
-            if k + 1 == n_centroids:
-                break
-            step = squared_distances(atoms, atoms[chosen[k]][None, :])[:, 0]
-            np.minimum(d2, step, out=d2)
-            scores = weights * d2
-        return QuantizationGrid(atoms[chosen].copy())
-    if strategy == "random_subset":
-        distinct = np.unique(atoms, axis=0)
-        if distinct.shape[0] < n_centroids:
+    chosen = np.empty(n_centroids, dtype=np.intp)
+    d2 = np.full(atoms.shape[0], np.inf)
+    scores = weights
+    for k in range(n_centroids):
+        cdf = np.cumsum(scores)
+        if cdf[-1] <= 0:
             raise InsufficientPoints(
-                f"only {distinct.shape[0]} distinct points available "
-                f"for {n_centroids} centroids"
+                f"only {k} distinct points available for {n_centroids} centroids"
             )
-        pick = rng.choice(distinct.shape[0], size=n_centroids, replace=False)
-        return QuantizationGrid(distinct[np.sort(pick)].copy())
-    raise ValueError(f"unknown init strategy {strategy!r}")
+        chosen[k] = _inverse_cdf(cdf, rng.random() * cdf[-1])
+        if k + 1 == n_centroids:
+            break
+        step = squared_distances(atoms, atoms[chosen[k]][None, :])[:, 0]
+        np.minimum(d2, step, out=d2)
+        scores = weights * d2
+    return QuantizationGrid(atoms[chosen].copy())
 
 
-def _seed_and_stream(sampler, n_centroids, n_steps, rng, init, init_strategy):
+def _seed_and_stream(sampler, n_centroids, n_steps, rng, init):
     """Starting grid and sample stream ``(rows, order)`` of a competitive run.
 
     When ``init`` is None, ``init_grid`` seeds from a uniform measure on
@@ -269,7 +250,7 @@ def _seed_and_stream(sampler, n_centroids, n_steps, rng, init, init_strategy):
     """
     if init is None:
         pool = DiscreteMeasure.uniform(sampler.draw(rng, max(512, 32 * n_centroids)))
-        init = init_grid(pool, n_centroids, init_strategy, rng)
+        init = init_grid(pool, n_centroids, rng)
     _check_same_dim(init.dim, sampler.dim)
     if init.n_centroids != n_centroids:
         raise ValueError("init grid size must equal n_centroids")
@@ -326,7 +307,6 @@ def clvq(
     seed,
     *,
     init: QuantizationGrid | None = None,
-    init_strategy: str = "dsquared",
 ) -> WeightedQuantization:
     """Online competitive learning with cell-mass weights.
 
@@ -369,9 +349,7 @@ def clvq(
         raise ValueError("n_steps must be positive")
     if not isinstance(schedule, StepSchedule):
         raise InvalidSchedule("schedule must be a StepSchedule")
-    init, rows, order = _seed_and_stream(
-        sampler, n_centroids, n_steps, as_generator(seed), init, init_strategy
-    )
+    init, rows, order = _seed_and_stream(sampler, n_centroids, n_steps, as_generator(seed), init)
     x, v, w, trace = _competitive_loop(rows, order, init.centroids, schedule)
     return WeightedQuantization(QuantizationGrid(x), v, w, trace)
 
@@ -382,8 +360,6 @@ def minibatch_kmeans(
     batch_size: int,
     n_iterations: int,
     seed,
-    *,
-    init_strategy: str = "dsquared",
 ) -> WeightedQuantization:
     """Mini-batch k-means (Sculley, *Web-scale k-means clustering*, 2010).
 
@@ -402,9 +378,7 @@ def minibatch_kmeans(
     if batch_size < 1 or n_iterations < 1:
         raise ValueError("batch_size and n_iterations must be positive")
     n_steps = batch_size * n_iterations
-    init, rows, order = _seed_and_stream(
-        data, n_centroids, n_steps, as_generator(seed), None, init_strategy
-    )
+    init, rows, order = _seed_and_stream(data, n_centroids, n_steps, as_generator(seed), None)
     x, v, trace = _minibatch_loop(rows, order, init.centroids, batch_size)
     return WeightedQuantization(QuantizationGrid(x), v, v / n_steps, trace)
 
@@ -512,30 +486,6 @@ def best_lloyd(mu: DiscreteMeasure, starts) -> LloydFit:
     Ties go to the earliest start, and an empty ``starts`` raises ValueError.
     """
     return min((lloyd(mu, start) for start in starts), key=lambda fit: fit.distortion)
-
-
-def variance_reduced_weights(counts) -> np.ndarray:
-    """Square-root reweighting of visit counts for training losses.
-
-    Maps counts ``v`` over K centroids to ``sqrt(K * v / sum(v))``, so equal
-    counts give all ones and rare centroids are damped less than
-    proportionally. The output does not sum to 1.
-
-    Raises
-    ------
-    EmptyCluster
-        If any count is zero; the caller must decide how to handle a centroid
-        that never won.
-    """
-    counts = np.ascontiguousarray(counts, dtype=np.float64)
-    if counts.ndim != 1 or counts.shape[0] < 1:
-        raise ValueError("counts must be a nonempty 1-d array")
-    if np.any(counts < 0):
-        raise ValueError("counts must be nonnegative")
-    if np.any(counts == 0):
-        raise EmptyCluster("a centroid with zero visits has no defined reweighting")
-    k = counts.shape[0]
-    return np.sqrt(k * counts / counts.sum())
 
 
 def empirical_distortion_trace(result: WeightedQuantization) -> np.ndarray:

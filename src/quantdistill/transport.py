@@ -245,7 +245,7 @@ def rate_scan(
     errors = np.empty(levels.shape[0])
     best = None
     for li, k in enumerate(levels):
-        candidates = [init_grid(mu, int(k), "dsquared", rng) for _ in range(n_restarts)]
+        candidates = [init_grid(mu, int(k), rng) for _ in range(n_restarts)]
         if best is not None:
             grown = _augment_grid(
                 mu.atoms, best.grid.centroids, int(k) - best.grid.n_centroids

@@ -201,7 +201,7 @@ def check_interval_quantizer_error(seed: int) -> list[CheckRecord]:
     mu = DiscreteMeasure.uniform(rng.random((20000, 1)))
     worst = 0.0
     for k in (1, 2, 4):
-        best = best_lloyd(mu, [init_grid(mu, k, "dsquared", rng) for _ in range(5)]).distortion
+        best = best_lloyd(mu, [init_grid(mu, k, rng) for _ in range(5)]).distortion
         target = 1.0 / (12.0 * k * k)
         worst = max(worst, abs(best - target) / target)
     return [
@@ -525,7 +525,7 @@ def check_weighting_reduction(seed: int) -> list[CheckRecord]:
     for rep in range(10):
         rng = _rng(seed, 11, rep)
         mu = _skewed_clusters(rng, 300)
-        grid = best_lloyd(mu, [init_grid(mu, 3, "dsquared", rng) for _ in range(3)]).grid
+        grid = best_lloyd(mu, [init_grid(mu, 3, rng) for _ in range(3)]).grid
         comparison = compare_weighting(mu, grid)
         reductions.append(comparison.reduction_fraction)
         worst_excess = max(
@@ -573,7 +573,7 @@ def check_gradient_discrepancy_weighting(seed: int) -> list[CheckRecord]:
             full_points.append(pts)
             full_labels.append(np.full(40, c, dtype=np.intp))
             mu = DiscreteMeasure.uniform(pts)
-            fit = lloyd(mu, init_grid(mu, 2, "dsquared", rng))
+            fit = lloyd(mu, init_grid(mu, 2, rng))
             mass = fit.partition.cell_mass
             distilled_points.append(fit.grid.centroids)
             distilled_labels.append(np.full(2, c, dtype=np.intp))
@@ -654,8 +654,8 @@ def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
                     "1.0", "--delta", "0.25", "--steps", "50", "--mc", "200",
                 ],
                 [
-                    "train", *distilled, "--weights", "variance_reduced",
-                    "--model", "logistic", "--lr", "1.0", "--epochs", "200",
+                    "train", *distilled, "--model", "logistic", "--lr", "1.0",
+                    "--epochs", "200",
                 ],
             ]
             argvs = [

@@ -1,7 +1,9 @@
 """Tests for file formats, document round trips, and the command line."""
 
+import argparse
 import json
 import os
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -325,15 +327,11 @@ def test_distillation_document_round_trip(tmp_path):
     save_distillation(path, result)
     loaded = load_distillation(path)
     assert loaded.seed == result.seed
-    assert loaded.schedule == result.schedule
     assert len(loaded.classes) == len(result.classes)
     for before, after in zip(result.classes, loaded.classes):
         np.testing.assert_array_equal(before.centroids, after.centroids)
         np.testing.assert_array_equal(before.counts, after.counts)
         np.testing.assert_array_equal(before.weights, after.weights)
-        np.testing.assert_array_equal(
-            before.variance_reduced, after.variance_reduced
-        )
     # A rewrite of the loaded document is byte-identical.
     second = tmp_path / "again.json"
     save_distillation(second, loaded)
@@ -341,7 +339,9 @@ def test_distillation_document_round_trip(tmp_path):
 
 
 # A distillation document in the earlier layout: indented over many lines,
-# with every float spelled at 17 significant digits.
+# with every float spelled at 17 significant digits, and with the three keys
+# that documents no longer hold: the step schedule, the seeding strategy and
+# the square-root weights.
 MULTILINE_17_DIGIT_DISTILLATION = """{
   "format": "quantdistill.distillation",
   "format_version": 1,
@@ -376,15 +376,21 @@ def test_multiline_17_digit_document_loads_like_its_new_rendering(tmp_path):
     save_distillation(new, loaded)
     text = new.read_text()
     assert text.count("\n") == 1 and "0.1," in text
-    assert json.loads(text) == json.loads(MULTILINE_17_DIGIT_DISTILLATION)
+    # The rewrite drops exactly the three retired keys.
+    expected = json.loads(MULTILINE_17_DIGIT_DISTILLATION)
+    del expected["schedule"], expected["init_strategy"]
+    del expected["classes"][0]["variance_reduced"]
+    assert json.loads(text) == expected
     reloaded = load_distillation(new)
     assert loaded.seed == reloaded.seed == 5
     for before, after in zip(loaded.classes, reloaded.classes):
-        for name in ("centroids", "counts", "weights", "variance_reduced"):
+        for name in ("centroids", "counts", "weights"):
             assert getattr(before, name).tobytes() == getattr(after, name).tobytes()
     centroids = reloaded.classes[0].centroids
     np.testing.assert_array_equal(centroids, [[0.1, 0.0], [1 / 3, 2.5e-300]])
     assert np.signbit(centroids[0, 1])
+    assert reloaded.classes[0].counts.tolist() == [3, 1]
+    assert reloaded.classes[0].weights.tolist() == [0.75, 0.25]
 
 
 def test_document_rejects_wrong_format_tag(tmp_path):
@@ -429,7 +435,7 @@ def sample_train_report(eval_accuracy=None):
     return TrainReport(
         seed=1,
         model="logistic",
-        weight_mode="variance_reduced",
+        weight_mode="normalized",
         learning_rate=1.0,
         epochs=20,
         final_loss=0.25,
@@ -608,7 +614,7 @@ def test_cli_distill_train_round_trip(tmp_path, capsys):
         [
             "train",
             "--distilled", str(out),
-            "--weights", "variance_reduced",
+            "--weights", "normalized",
             "--model", "logistic",
             "--epochs", "100",
             "--seed", "1",
@@ -678,15 +684,33 @@ def test_diffuse_needs_reference_points_for_every_distilled_class(tmp_path, caps
         "--seed", "0", "--out", str(out),
     ])
     assert status == 2
-    assert "error: reference data has no points for class 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {labels_path}: reference data has no points for class 2" in err
     assert not out.exists()
 
 
-def test_diffuse_rejects_a_reference_of_the_wrong_dimension():
+def test_diffuse_rejects_a_reference_of_the_wrong_dimension(tmp_path, capsys):
     points, labels = demo_dataset(0, n_per_class=40, n_classes=2, dim=3)
     result = distill(points, labels, 3, 0)
     with pytest.raises(DimensionError, match="dimension 3"):
         diffuse(result, points[:, :2], labels, SdeSpec("brownian", 1.0, 0.25, 10), 20, 0)
+
+    distilled = tmp_path / "distilled.json"
+    save_distillation(distilled, result)
+    latents, labels_path = tmp_path / "ref.bin", tmp_path / "ref_labels.txt"
+    save_latents(latents, points[:, :2])
+    save_labels(labels_path, labels)
+    out = tmp_path / "transported.json"
+    status = cli.main([
+        "diffuse", "--distilled", str(distilled), "--latents", str(latents),
+        "--labels", str(labels_path), "--steps", "10", "--mc", "20",
+        "--seed", "0", "--out", str(out),
+    ])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert f"{latents} have dimension 2" in err
+    assert f"{distilled} has dimension 3" in err
+    assert not out.exists()
 
 
 def test_cli_train_names_the_document_with_a_nonfinite_centroid(tmp_path, capsys):
@@ -710,7 +734,6 @@ SHAPE_FAULTS = {
     ),
     "short_counts": (lambda cls: cls["counts"].pop(), "counts"),
     "short_weights": (lambda cls: cls["weights"].pop(), "weights"),
-    "short_variance_reduced": (lambda cls: cls["variance_reduced"].pop(), "variance_reduced"),
 }
 
 
@@ -747,22 +770,20 @@ def test_cli_train_rejects_a_nonfinite_learning_rate(tmp_path, capsys, rate):
 def test_cli_distill_rejects_negative_batch_settings(tmp_path, capsys):
     latents, labels_path = write_demo_files(tmp_path)
     out = tmp_path / "distilled.json"
-    for schedule in ("count_reciprocal", "harmonic"):
-        status = cli.main(
-            [
-                "distill",
-                "--latents", str(latents),
-                "--labels", str(labels_path),
-                "--ipc", "3",
-                "--schedule", schedule,
-                "--batch-size", "-2",
-                "--iterations", "-100",
-                "--out", str(out),
-            ]
-        )
-        assert status == 2
-        assert "batch_size and n_iterations" in capsys.readouterr().err
-        assert not out.exists()
+    status = cli.main(
+        [
+            "distill",
+            "--latents", str(latents),
+            "--labels", str(labels_path),
+            "--ipc", "3",
+            "--batch-size", "-2",
+            "--iterations", "-100",
+            "--out", str(out),
+        ]
+    )
+    assert status == 2
+    assert "batch_size and n_iterations" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_train_needs_both_eval_flags(tmp_path, capsys):
@@ -915,3 +936,26 @@ def test_cli_verify_small_suite_passes(capsys):
     out = capsys.readouterr().out
     assert "3/3 checks passed" in out
     assert "FAIL" not in out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_flag_in_the_readme_cli_block_is_accepted():
+    # Each --flag in the README's command-line block, comment lines included,
+    # must be an option of the subcommand on the last "quantdistill <command>"
+    # line above it, so a removed option cannot linger in the README.
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command, n_flags = None, 0
+    for line in block.splitlines():
+        named = re.match(r"quantdistill ([a-z0-9-]+)", line)
+        if named:
+            command = named.group(1)
+            assert command in commands, line
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line):
+            assert flag in commands[command]._option_string_actions, (command, flag)
+            n_flags += 1
+    assert n_flags >= 20
