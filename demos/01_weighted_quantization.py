@@ -27,7 +27,7 @@ def main():
     result = clvq(
         sampler,
         n_centroids=2,
-        schedule=StepSchedule.harmonic(1.0, 10.0),
+        schedule=StepSchedule.harmonic(),
         n_steps=100000,
         seed=0,
     )

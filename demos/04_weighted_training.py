@@ -32,7 +32,7 @@ def main():
     # Probe gradient fidelity at random parameter draws: how far is the
     # distilled loss gradient from the full-data gradient at the same theta?
     full = WeightedDataset(points, labels, np.ones(points.shape[0]))
-    clf = TinyClassifier.multinomial_logistic(mass.dim, mass.n_classes)
+    clf = TinyClassifier(mass.dim, mass.n_classes)
     rng = np.random.default_rng(5)
     trials = 20
     wins = 0

@@ -8,7 +8,9 @@ quantized stand-in from the horizon back to a small early-stop time, and the
 expectation gap between the two transported clouds is controlled by an
 explicit constant times their Wasserstein-2 distance at the horizon. This
 module implements the forward marginals, the score, the reverse integrator,
-the constant, and drivers that measure every quantity in one run.
+the constant, and drivers that measure every quantity in one run. The score
+and the log density take (n, d) batches of points, as the integrator holds
+them.
 """
 
 from __future__ import annotations
@@ -118,14 +120,12 @@ def _mixture_logits(ref: ReferenceLaw, scale: float, var: float, x: np.ndarray):
     return logits, means
 
 
-def _as_batch(ref: ReferenceLaw, x):
-    """``x`` as an (n, d) float array, and whether it was a single point."""
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    batch = arr[None, :] if single else arr
+def _as_batch(ref: ReferenceLaw, x) -> np.ndarray:
+    """``x`` as an (n, d) float array in the reference's dimension."""
+    batch = np.asarray(x, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != ref.dim:
-        raise DimensionError(f"points must have dimension {ref.dim}")
-    return batch, single
+        raise DimensionError(f"points must be an (n, {ref.dim}) batch, got shape {batch.shape}")
+    return batch
 
 
 def analytic_score(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.ndarray:
@@ -133,27 +133,24 @@ def analytic_score(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.ndarray:
 
     The marginal is a Gaussian mixture centered at the scaled atoms, so the
     score is the responsibility-weighted pull toward the component means
-    divided by the marginal variance. Accepts one point or a batch; the
-    responsibilities are the package's max-shifted softmax, taken in place
-    over the logits, so far-out points degrade gracefully to the nearest
-    component's pull.
+    divided by the marginal variance. Takes an (n, d) batch and returns
+    (n, d); the responsibilities are the package's max-shifted softmax,
+    taken in place over the logits, so far-out points degrade gracefully to
+    the nearest component's pull.
     """
     scale, var = _marginal_params(sde, t)
-    batch, single = _as_batch(ref, x)
+    batch = _as_batch(ref, x)
     resp, means = _mixture_logits(ref, scale, var, batch)
     _softmax_rows(resp)  # the logits become the responsibilities in place
-    score = (resp @ means - batch) / var
-    return score[0] if single else score
+    return (resp @ means - batch) / var
 
 
 def log_marginal_density(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.ndarray:
-    """Log density of the noised reference law at time t."""
+    """Log density of the noised reference law at time t, per point of an (n, d) batch."""
     scale, var = _marginal_params(sde, t)
-    batch, single = _as_batch(ref, x)
-    logits, _ = _mixture_logits(ref, scale, var, batch)
+    logits, _ = _mixture_logits(ref, scale, var, _as_batch(ref, x))
     shift, total = _softmax_rows(logits)
-    out = (shift + np.log(total))[:, 0] - 0.5 * ref.dim * np.log(2.0 * np.pi * var)
-    return float(out[0]) if single else out
+    return (shift + np.log(total))[:, 0] - 0.5 * ref.dim * np.log(2.0 * np.pi * var)
 
 
 def reverse_integrate(
@@ -235,9 +232,11 @@ class BoundReport:
 
     ``lhs`` is the observed gap. The verdict follows from the measured
     numbers and is not given: ``rhs = constant * lipschitz_bound *
-    wasserstein`` is the theoretical ceiling, ``passed`` allows
-    ``STDERR_SIGMAS`` times the Monte Carlo standard error on top of ``rhs``,
-    and ``ratio`` is lhs/rhs (0 when both vanish, inf when only rhs does).
+    wasserstein`` is the theoretical ceiling, and 0 whenever
+    ``lipschitz_bound * wasserstein`` is 0, even if the constant overflowed
+    to inf. ``passed`` allows ``STDERR_SIGMAS`` times the Monte Carlo
+    standard error on top of ``rhs``, and ``ratio`` is lhs/rhs (0 when both
+    vanish, inf when only rhs does).
     """
 
     lhs: float
@@ -250,7 +249,10 @@ class BoundReport:
     lipschitz_bound: float
 
     def __post_init__(self):
-        rhs = self.constant * self.lipschitz_bound * self.wasserstein
+        if self.lipschitz_bound * self.wasserstein == 0:
+            rhs = 0.0
+        else:
+            rhs = self.constant * self.lipschitz_bound * self.wasserstein
         if rhs > 0:
             ratio = self.lhs / rhs
         else:
@@ -274,7 +276,7 @@ def _bound_report(
     test_fn,
     seed_mu,
     seed_nu,
-) -> tuple[BoundReport, DiscreteMeasure, DiscreteMeasure]:
+) -> tuple[BoundReport, DiscreteMeasure]:
     w2, _ = w2_discrete(nu_end, mu_end)
     mu_out = reverse_integrate(mu_end, ref, sde, seed_mu)
     nu_out = reverse_integrate(nu_end, ref, sde, seed_nu)
@@ -296,7 +298,7 @@ def _bound_report(
         constant=explicit_constant(sde, ref.support_radius),
         lipschitz_bound=float(test_fn.lipschitz_bound),
     )
-    return report, mu_out, nu_out
+    return report, nu_out
 
 
 def _spawn(seed, n: int) -> list[np.random.SeedSequence]:
@@ -326,8 +328,7 @@ def verify_main_theorem(
     mu_end = forward_marginal(ref, sde, sde.horizon, n_mc, seed_fwd)
     fit = lloyd(mu_end, init_grid(mu_end, n_centroids, seed_quant))
     nu_end = DiscreteMeasure.from_unnormalized(fit.grid.centroids, fit.partition.cell_mass)
-    report, _, _ = _bound_report(ref, sde, mu_end, nu_end, test_fn, seed_mu, seed_nu)
-    return report
+    return _bound_report(ref, sde, mu_end, nu_end, test_fn, seed_mu, seed_nu)[0]
 
 
 def transport_quantization(
@@ -346,7 +347,5 @@ def transport_quantization(
     """
     seed_fwd, seed_mu, seed_nu = _spawn(seed, 3)
     mu_end = forward_marginal(ref, sde, sde.horizon, n_mc, seed_fwd)
-    report, _, nu_out = _bound_report(
-        ref, sde, mu_end, quantized, test_fn, seed_mu, seed_nu
-    )
+    report, nu_out = _bound_report(ref, sde, mu_end, quantized, test_fn, seed_mu, seed_nu)
     return nu_out, report

@@ -80,6 +80,8 @@ def distill(
         If a worker process dies, for instance killed by a signal.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2 or min(points.shape) < 1:
+        raise ValueError(f"points must be a nonempty (n, d) array, got shape {points.shape}")
     if batch_size < 1 or n_iterations < 1:
         raise ValueError("batch_size and n_iterations must be positive")
     labels = as_label_array(labels, points.shape[0])
@@ -268,13 +270,13 @@ def parse_model(model: str, n_inputs: int, n_classes: int) -> TinyClassifier:
     of width W.
     """
     if model == "logistic":
-        return TinyClassifier.multinomial_logistic(n_inputs, n_classes)
+        return TinyClassifier(n_inputs, n_classes)
     if model.startswith("hidden:"):
         try:
             width = int(model.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad hidden width in {model!r}") from None
-        return TinyClassifier.one_hidden_layer(n_inputs, n_classes, width)
+        return TinyClassifier(n_inputs, n_classes, hidden=width)
     raise ValueError(f"unknown model {model!r}; use 'logistic' or 'hidden:W'")
 
 

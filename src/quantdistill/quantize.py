@@ -3,17 +3,19 @@ k-means and Lloyd refinement.
 
 The online learner processes one sample per step: the nearest centroid (the
 winner) moves toward the sample by the current step size and a visit counter
-records raw win totals. Under the harmonic schedule a companion weight vector
-tracks each centroid's share of wins through the same averaging; under the
-count-reciprocal schedule the weights are the win shares ``counts / n_steps``.
+records raw win totals. Under the harmonic schedule, the fixed step
+``1 / (10 + n)`` at step n (Pagès' CLVQ rule at a = 1, b = 10), a companion
+weight vector tracks each centroid's share of wins through the same
+averaging; under the count-reciprocal schedule the weights are the win
+shares ``counts / n_steps``.
 
 Mini-batch k-means (Sculley 2010) takes the same seeding and samples a batch
 at a time: one distance pass assigns the batch against the centroids frozen
 at its start, and one one-hot matmul sums each cell, so each centroid makes
 all its count-reciprocal steps of the batch at once. At batch size 1 it is
 the online count-reciprocal learner. It is what ``pipeline.distill`` runs on
-each class. Both learners, unless given a starting grid, seed one by D²
-sampling (``init_grid``) from their own draws.
+each class. Both learners seed their starting grid by D² sampling
+(``init_grid``) from their own draws.
 
 Lloyd refinement is the batch counterpart: each centroid jumps to the weighted
 mean of its cell until centroids stop moving. Empty cells are reseeded at the
@@ -56,33 +58,22 @@ def as_generator(seed) -> np.random.Generator:
 class StepSchedule:
     """Step-size rule for the online learner.
 
-    ``harmonic`` emits ``a / (b + i)`` at step ``i`` (counting from 1), so the
-    first and largest step is ``a / (b + 1)``. ``count_reciprocal`` emits the
-    reciprocal of the winner's visit count after incrementing it, so a
-    centroid's first win moves it exactly onto the sample.
+    ``harmonic`` emits ``1 / (10 + i)`` at step ``i`` (counting from 1): the
+    a/(b+n) rule of Pagès' CLVQ at a = 1, b = 10, so the first and largest
+    step is 1/11. ``count_reciprocal`` emits the reciprocal of the winner's
+    visit count after incrementing it, so a centroid's first win moves it
+    exactly onto the sample.
     """
 
     kind: str
-    a: float = 1.0
-    b: float = 10.0
 
     def __post_init__(self):
         if self.kind not in ("harmonic", "count_reciprocal"):
             raise InvalidSchedule(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "harmonic":
-            if not (np.isfinite(self.a) and np.isfinite(self.b)):
-                raise InvalidSchedule("schedule parameters must be finite")
-            if self.a <= 0 or self.b < 0:
-                raise InvalidSchedule("harmonic schedule needs a > 0 and b >= 0")
-            if self.a > self.b + 1.0:
-                raise InvalidSchedule(
-                    f"harmonic schedule emits {self.a / (self.b + 1.0)!r} > 1 "
-                    "at its first step"
-                )
 
     @classmethod
-    def harmonic(cls, a: float = 1.0, b: float = 10.0) -> "StepSchedule":
-        return cls("harmonic", a, b)
+    def harmonic(cls) -> "StepSchedule":
+        return cls("harmonic")
 
     @classmethod
     def count_reciprocal(cls) -> "StepSchedule":
@@ -94,7 +85,7 @@ class StepSchedule:
             raise InvalidSchedule(
                 "count_reciprocal steps depend on visit counts, not the step index"
             )
-        return self.a / (self.b + i + 1.0)
+        return 1.0 / (10.0 + i + 1.0)
 
 
 class GaussianMixtureSampler:
@@ -239,21 +230,17 @@ def init_grid(mu: DiscreteMeasure, n_centroids: int, seed) -> QuantizationGrid:
     return QuantizationGrid(atoms[chosen].copy())
 
 
-def _seed_and_stream(sampler, n_centroids, n_steps, rng, init):
+def _seed_and_stream(sampler, n_centroids, n_steps, rng):
     """Starting grid and sample stream ``(rows, order)`` of a competitive run.
 
-    When ``init`` is None, ``init_grid`` seeds from a uniform measure on
-    ``max(512, 32 K)`` draws of the sampler. The stream follows from the
-    same generator: a ``DiscreteMeasure`` gives its atoms and one
-    ``draw_indices(rng, n_steps)`` call, any other sampler its
-    ``draw(rng, n_steps)`` rows in order. Sample ``i`` is ``rows[order[i]]``.
+    ``init_grid`` seeds from a uniform measure on ``max(512, 32 K)`` draws
+    of the sampler. The stream follows from the same generator: a
+    ``DiscreteMeasure`` gives its atoms and one ``draw_indices(rng, n_steps)``
+    call, any other sampler its ``draw(rng, n_steps)`` rows in order. Sample
+    ``i`` is ``rows[order[i]]``.
     """
-    if init is None:
-        pool = DiscreteMeasure.uniform(sampler.draw(rng, max(512, 32 * n_centroids)))
-        init = init_grid(pool, n_centroids, rng)
-    _check_same_dim(init.dim, sampler.dim)
-    if init.n_centroids != n_centroids:
-        raise ValueError("init grid size must equal n_centroids")
+    pool = DiscreteMeasure.uniform(sampler.draw(rng, max(512, 32 * n_centroids)))
+    init = init_grid(pool, n_centroids, rng)
     if isinstance(sampler, DiscreteMeasure):
         return init, sampler.atoms, sampler.draw_indices(rng, n_steps)
     return init, sampler.draw(rng, n_steps), np.arange(n_steps)
@@ -305,13 +292,13 @@ def clvq(
     schedule: StepSchedule,
     n_steps: int,
     seed,
-    *,
-    init: QuantizationGrid | None = None,
 ) -> WeightedQuantization:
     """Online competitive learning with cell-mass weights.
 
-    Each step draws one sample, finds the nearest centroid (ties to the
-    lowest index), records that centroid's squared distance,
+    ``init_grid`` seeds the starting grid from a uniform measure on
+    ``max(512, 32 K)`` draws of the sampler (a measure too), from the same
+    generator. Each step then draws one sample, finds the nearest centroid
+    (ties to the lowest index), records that centroid's squared distance,
     then moves only the winner toward the sample by the schedule's step, so
     centroids never leave the convex hull of the initial grid and the
     samples. Harmonic steps refresh the companion weights by the same convex
@@ -332,24 +319,18 @@ def clvq(
     n_steps : int
         Number of samples presented, at least 1.
     seed : int, SeedSequence, or Generator
-        Drives initialization (when ``init`` is None) and the sample stream.
-    init : QuantizationGrid, optional
-        Starting grid; when omitted, ``init_grid`` seeds it from a uniform
-        measure on ``max(512, 32 K)`` draws of the sampler (a measure too),
-        from the same generator.
+        Drives the seeding and the sample stream.
 
     Raises
     ------
     InvalidSchedule
         If ``schedule`` is not a ``StepSchedule``.
-    DimensionError
-        If ``init`` and the sampler disagree on dimension.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     if not isinstance(schedule, StepSchedule):
         raise InvalidSchedule("schedule must be a StepSchedule")
-    init, rows, order = _seed_and_stream(sampler, n_centroids, n_steps, as_generator(seed), init)
+    init, rows, order = _seed_and_stream(sampler, n_centroids, n_steps, as_generator(seed))
     x, v, w, trace = _competitive_loop(rows, order, init.centroids, schedule)
     return WeightedQuantization(QuantizationGrid(x), v, w, trace)
 
@@ -378,7 +359,7 @@ def minibatch_kmeans(
     if batch_size < 1 or n_iterations < 1:
         raise ValueError("batch_size and n_iterations must be positive")
     n_steps = batch_size * n_iterations
-    init, rows, order = _seed_and_stream(data, n_centroids, n_steps, as_generator(seed), None)
+    init, rows, order = _seed_and_stream(data, n_centroids, n_steps, as_generator(seed))
     x, v, trace = _minibatch_loop(rows, order, init.centroids, batch_size)
     return WeightedQuantization(QuantizationGrid(x), v, v / n_steps, trace)
 

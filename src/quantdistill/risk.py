@@ -1,35 +1,33 @@
-"""Lipschitz expectation gaps and weighted training on distilled clouds.
+"""Lipschitz test functions and weighted training on distilled clouds.
 
 Replacing a measure by a quantized stand-in changes any Lipschitz statistic
-by at most the Lipschitz constant times the root quantization error; this
-module provides concrete function families with certified constants, the gap
-check, and a small classifier whose weighted loss treats a distilled cloud
-with cell-mass weights as a drop-in for the full dataset. The classifier is
-only an architecture: its parameters are one flat vector ``theta`` that every
-function takes and training returns.
+by at most the Lipschitz constant times the root quantization error. This
+module provides concrete function families with certified constants, which
+``verification`` uses to check that bound, and a small classifier whose
+weighted loss treats a distilled cloud with cell-mass weights as a drop-in
+for the full dataset. The classifier is only an architecture: its
+parameters are one flat vector ``theta`` that every function takes and
+training returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NonFiniteLoss
+from .errors import DimensionError, NonFiniteLoss
 from .measures import (
     DiscreteMeasure,
-    QuantizationGrid,
     _check_same_dim,
     _softmax_rows,
     as_label_array,
     as_point,
     as_point_array,
     squared_distances,
-    voronoi_partition,
 )
 
-GAP_SLACK = 1e-9
 UNIT_SLOPE_TOL = 1e-9
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 60
@@ -41,7 +39,7 @@ class LipschitzFunction:
 
     Kinds: ``distance_to_point`` (constant 1), ``max_affine`` over unit-norm
     slopes (constant 1), and ``constant`` (constant 0). Instances are
-    callable on a single point or a batch of points.
+    callable on an (n, d) batch of points.
     """
 
     kind: str
@@ -96,19 +94,18 @@ class LipschitzFunction:
             return self.slopes.shape[1]
         return None
 
-    def __call__(self, points):
-        arr = np.asarray(points, dtype=np.float64)
-        single = arr.ndim == 1
-        batch = arr[None, :] if single else arr
+    def __call__(self, points) -> np.ndarray:
+        """Values at an (n, d) batch of points, shape (n,)."""
+        batch = np.asarray(points, dtype=np.float64)
+        if batch.ndim != 2:
+            raise DimensionError(f"points must be an (n, d) batch, got shape {batch.shape}")
         if self.dim is not None:
             _check_same_dim(batch.shape[1], self.dim)
         if self.kind == "distance_to_point":
-            out = np.sqrt(squared_distances(batch, self.anchor[None, :])[:, 0])
-        elif self.kind == "max_affine":
-            out = (batch @ self.slopes.T + self.offsets).max(axis=1)
-        else:
-            out = np.full(batch.shape[0], self.value)
-        return float(out[0]) if single else out
+            return np.sqrt(squared_distances(batch, self.anchor[None, :])[:, 0])
+        if self.kind == "max_affine":
+            return (batch @ self.slopes.T + self.offsets).max(axis=1)
+        return np.full(batch.shape[0], self.value)
 
 
 def weighted_expectation(f, nu: DiscreteMeasure) -> float:
@@ -117,45 +114,6 @@ def weighted_expectation(f, nu: DiscreteMeasure) -> float:
     if values.shape != (nu.n_atoms,):
         raise ValueError("f must map (n, d) points to (n,) values")
     return float(np.dot(nu.weights, values))
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Observed expectation gap against its quantization bound for one function.
-
-    ``slack`` and ``passed`` follow from ``gap`` and ``bound``; they are not given.
-    """
-
-    function_kind: str
-    gap: float
-    bound: float
-    slack: float = field(init=False)
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "slack", self.bound - self.gap)
-        object.__setattr__(self, "passed", self.gap <= self.bound + GAP_SLACK)
-
-
-def check_lipschitz_gap(
-    mu: DiscreteMeasure,
-    grid: QuantizationGrid,
-    functions,
-) -> list[GapReport]:
-    """Check |E_mu f - E_nu f| <= L * sqrt(distortion) for each function.
-
-    ``nu`` is the nearest-centroid projection of ``mu`` onto the grid.
-    ``passed`` allows an absolute slack of 1e-9 for rounding.
-    """
-    part = voronoi_partition(mu, grid)
-    nu = DiscreteMeasure.from_unnormalized(grid.centroids.copy(), part.cell_mass)
-    root_distortion = float(np.sqrt(part.distortion))
-    reports = []
-    for f in functions:
-        gap = abs(weighted_expectation(f, mu) - weighted_expectation(f, nu))
-        bound = f.lipschitz_bound * root_distortion
-        reports.append(GapReport(function_kind=f.kind, gap=gap, bound=bound))
-    return reports
 
 
 @dataclass(frozen=True)
@@ -219,16 +177,6 @@ class TinyClassifier:
             raise ValueError("n_classes must be at least 2")
         if self.hidden is not None and self.hidden < 1:
             raise ValueError("hidden width must be positive when given")
-
-    @classmethod
-    def multinomial_logistic(cls, n_inputs: int, n_classes: int) -> "TinyClassifier":
-        return cls(n_inputs, n_classes, hidden=None)
-
-    @classmethod
-    def one_hidden_layer(
-        cls, n_inputs: int, n_classes: int, width: int
-    ) -> "TinyClassifier":
-        return cls(n_inputs, n_classes, hidden=width)
 
     @cached_property
     def layout(self) -> tuple[tuple[int, int, int], ...]:

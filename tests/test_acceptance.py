@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import quantdistill
-from quantdistill import cli, quantize, verification
+from quantdistill import cli, quantize, transport, verification
+from quantdistill.measures import DiscreteMeasure
 
 ACCEPTANCE_SEED = 0
 
@@ -71,6 +72,41 @@ def test_pipeline_determinism_fails_for_a_subseed_keyed_on_the_worker(monkeypatc
     byte_record, _ = verification.check_pipeline_determinism(ACCEPTANCE_SEED)
     assert byte_record.claim == "pipeline_byte_determinism"
     assert byte_record.passed is False, byte_record.line()
+
+
+def test_distortion_w2_equality_fails_for_a_distortion_off_by_one_percent(monkeypatch):
+    exact = verification.quadratic_distortion
+    monkeypatch.setattr(
+        verification, "quadratic_distortion", lambda mu, grid: 1.01 * exact(mu, grid)
+    )
+    [record] = verification.check_distortion_w2_equality(ACCEPTANCE_SEED)
+    assert record.passed is False, record.line()
+
+
+def test_weighting_reduction_fails_when_the_projection_has_uniform_weights(monkeypatch):
+    # With uniform weights on the projection there is nothing to reduce.
+    monkeypatch.setattr(
+        transport, "project_to_grid", lambda mu, grid: DiscreteMeasure.uniform(grid.centroids)
+    )
+    records = verification.check_weighting_reduction(ACCEPTANCE_SEED)
+    failed = [record.claim for record in records if not record.passed]
+    assert failed == ["weighted_reduction_median"], [r.line() for r in records]
+
+
+def test_score_monotonicity_fails_for_a_score_of_flipped_sign(monkeypatch):
+    exact = verification.analytic_score
+    monkeypatch.setattr(verification, "analytic_score", lambda *args: -exact(*args))
+    records = verification.check_score_monotonicity(ACCEPTANCE_SEED)
+    assert [record.passed for record in records] == [False, False], [r.line() for r in records]
+
+
+def test_explicit_constant_quadrature_fails_for_a_closed_form_off_by_one_ppm(monkeypatch):
+    exact = verification.explicit_constant
+    monkeypatch.setattr(
+        verification, "explicit_constant", lambda sde, r: exact(sde, r) * (1 + 1e-6)
+    )
+    [record] = verification.check_explicit_constant_quadrature(ACCEPTANCE_SEED)
+    assert record.passed is False, record.line()
 
 
 def test_registry_covers_every_suite():

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from quantdistill.diffusion import (
     BROWNIAN,
     ORNSTEIN_UHLENBECK,
+    BoundReport,
     ReferenceLaw,
     SdeSpec,
     analytic_score,
@@ -113,10 +114,14 @@ def test_score_single_atom_closed_form():
 def test_score_single_point_shape_and_dim_check():
     ref = two_atom_law()
     sde = SdeSpec(BROWNIAN, 1.0, 0.1, 10)
-    out = analytic_score(ref, sde, 0.5, np.array([0.3]))
-    assert out.shape == (1,)
-    with pytest.raises(DimensionError):
-        analytic_score(ref, sde, 0.5, np.array([0.3, 0.4]))
+    # One point is a (1, d) batch; a bare point or the wrong dimension is rejected.
+    out = analytic_score(ref, sde, 0.5, np.array([[0.3]]))
+    assert out.shape == (1, 1)
+    for bad in (np.array([0.3]), np.array([[0.3, 0.4]])):
+        with pytest.raises(DimensionError):
+            analytic_score(ref, sde, 0.5, bad)
+        with pytest.raises(DimensionError):
+            log_marginal_density(ref, sde, 0.5, bad)
 
 
 def test_log_density_normalizes_to_one():
@@ -125,7 +130,7 @@ def test_log_density_normalizes_to_one():
     t = 0.4
 
     def density(v):
-        return np.exp(log_marginal_density(ref, sde, t, np.array([v])))
+        return float(np.exp(log_marginal_density(ref, sde, t, np.array([[v]])))[0])
 
     total, _ = quad(density, -15.0, 15.0, limit=200)
     np.testing.assert_allclose(total, 1.0, rtol=1e-8)
@@ -242,3 +247,20 @@ def test_transport_quantization_keeps_input_weights():
     np.testing.assert_array_equal(transported.weights, quantized.weights)
     assert transported.atoms.shape == quantized.atoms.shape
     assert report.rhs == report.constant * report.lipschitz_bound * report.wasserstein
+
+
+def test_zero_ceiling_for_a_zero_lipschitz_distance_product():
+    # A constant that overflows to inf times a zero product is a ceiling of 0,
+    # not NaN, so a zero gap passes.
+    zero = dict(mc_stderr=0, wasserstein=0, constant=np.inf, lipschitz_bound=1)
+    report = BoundReport(lhs=0, **zero)
+    assert (report.rhs, report.ratio, report.passed) == (0.0, 0.0, True)
+    assert not BoundReport(lhs=1e-3, **zero).passed
+    # Atoms at +-30 overflow the constant; a constant test function has L = 0.
+    ref = ReferenceLaw(DiscreteMeasure.uniform([[-30.0], [30.0]]))
+    sde = SdeSpec(BROWNIAN, 1.0, 0.25, 20)
+    quantized = DiscreteMeasure.uniform([[-29.0], [31.0]])
+    fn = LipschitzFunction.constant(2.0)
+    _, report = transport_quantization(ref, sde, quantized, fn, 50, 0)
+    assert report.constant == np.inf and report.wasserstein > 0
+    assert (report.lhs, report.rhs, report.passed) == (0.0, 0.0, True)

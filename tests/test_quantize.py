@@ -1,14 +1,14 @@
 """Tests for samplers, online competitive learning, and Lloyd refinement."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from quantdistill import measures, quantize
+from quantdistill import measures, pipeline, quantize
 from quantdistill.errors import (
-    DimensionError,
     EmptyCluster,
     InsufficientPoints,
     InvalidSchedule,
@@ -37,18 +37,11 @@ from quantdistill.quantize import (
 
 
 def test_harmonic_schedule_values():
-    schedule = StepSchedule.harmonic(1.0, 10.0)
-    np.testing.assert_allclose(schedule.step(0), 1.0 / 11.0)
-    np.testing.assert_allclose(schedule.step(4), 1.0 / 15.0)
-
-
-@pytest.mark.parametrize(
-    "a,b",
-    [(0.0, 10.0), (-1.0, 10.0), (1.0, -0.5), (2.5, 1.0), (np.inf, 1.0)],
-)
-def test_harmonic_schedule_rejects_bad_parameters(a, b):
-    with pytest.raises(InvalidSchedule):
-        StepSchedule.harmonic(a, b)
+    # Pagès' a / (b + n) rule at a = 1, b = 10, the same bits for every step.
+    schedule = StepSchedule.harmonic()
+    assert schedule.step(0) == 1.0 / 11.0
+    assert schedule.step(4) == 1.0 / 15.0
+    assert all(schedule.step(i) == 1.0 / (10.0 + i + 1.0) for i in range(1000))
 
 
 def test_count_reciprocal_has_no_indexed_step():
@@ -167,12 +160,13 @@ def test_clvq_seeds_from_a_pool_of_its_own_draws():
     seeded = clvq(mu, 3, StepSchedule.harmonic(), 200, 18)
     rng = np.random.default_rng(18)
     init = init_grid(DiscreteMeasure.uniform(mu.draw(rng, 512)), 3, rng)
-    given = clvq(mu, 3, StepSchedule.harmonic(), 200, rng, init=init)
+    x, v, w, trace = _reference_loop(mu.draw(rng, 200), init.centroids, StepSchedule.harmonic())
+    given = {"grid": x, "counts": v, "weights": w, "winner_sq_dists": trace}
     for field in dataclasses.fields(seeded):
-        ours, theirs = getattr(seeded, field.name), getattr(given, field.name)
+        ours = getattr(seeded, field.name)
         if field.name == "grid":
-            ours, theirs = ours.centroids, theirs.centroids
-        np.testing.assert_array_equal(ours, theirs, err_msg=field.name)
+            ours = ours.centroids
+        np.testing.assert_array_equal(ours, given[field.name], err_msg=field.name)
 
 
 def test_clvq_counts_sum_to_steps_and_weights_to_one():
@@ -188,9 +182,6 @@ def test_clvq_rejects_bad_arguments():
         clvq(sampler, 2, StepSchedule.harmonic(), 0, 0)
     with pytest.raises(InvalidSchedule):
         clvq(sampler, 2, "harmonic", 10, 0)
-    init = QuantizationGrid(np.array([[0.1, 0.2], [0.3, 0.4]]))
-    with pytest.raises(DimensionError):
-        clvq(sampler, 2, StepSchedule.harmonic(), 10, 0, init=init)
 
 
 def test_minibatch_kmeans_matches_online_run():
@@ -280,6 +271,17 @@ def test_distill_rejects_nonpositive_batch_settings(batch_size, n_iterations):
     points, labels = demo_dataset(3, n_per_class=20, n_classes=2)
     with pytest.raises(ValueError, match="batch_size and n_iterations"):
         distill(points, labels, 2, 0, batch_size=batch_size, n_iterations=n_iterations)
+
+
+@pytest.mark.parametrize(
+    "shape", [(5,), (5, 0), (0, 3), (2, 3, 1)], ids=["1-d", "no-columns", "no-rows", "3-d"]
+)
+def test_distill_rejects_points_that_are_not_a_nonempty_matrix(shape, monkeypatch):
+    # The shape is checked before the work estimate or the worker count.
+    monkeypatch.setattr(pipeline, "_class_workers", None)
+    message = rf"^points must be a nonempty \(n, d\) array, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        distill(np.zeros(shape), np.zeros(5, dtype=np.intp), 1, 0)
 
 
 def test_lloyd_two_clusters_lands_on_means():
@@ -427,8 +429,9 @@ def test_empirical_distortion_trace_is_running_mean():
 
 
 def test_clvq_finds_each_winner_through_the_distance_kernel(monkeypatch):
-    # With a given start grid the only distances are the per-step winner
-    # searches: one kernel call of one sample against all K centroids.
+    # After D² seeding's K-1 passes over its 512-draw pool, the only
+    # distances are the per-step winner searches: one kernel call of one
+    # sample against all K centroids.
     shapes = []
 
     def counted(points, centroids):
@@ -438,22 +441,23 @@ def test_clvq_finds_each_winner_through_the_distance_kernel(monkeypatch):
     monkeypatch.setattr(quantize, "squared_distances", counted)
     rng = np.random.default_rng(16)
     mu = DiscreteMeasure.uniform(rng.normal(size=(40, 3)))
-    init = QuantizationGrid(rng.normal(size=(4, 3)))
-    clvq(mu, 4, StepSchedule.harmonic(1.0, 1.0), 25, 16, init=init)
-    assert shapes == [((1, 3), (4, 3))] * 25
+    clvq(mu, 4, StepSchedule.harmonic(), 25, 16)
+    assert shapes == [((512, 3), (1, 3))] * 3 + [((1, 3), (4, 3))] * 25
 
 
 def test_clvq_winner_update_is_convex_combination():
-    # A single harmonic step from a known grid moves only the winner.
-    mu = DiscreteMeasure.uniform(np.array([[0.0], [10.0]]))
-    init = QuantizationGrid(np.array([[1.0], [9.0]]))
-    result = clvq(mu, 2, StepSchedule.harmonic(1.0, 1.0), 1, 14, init=init)
+    # A single harmonic step, of size 1/11, moves only the winner.
+    mu = DiscreteMeasure.uniform(np.arange(6.0)[:, None])
+    result = clvq(mu, 2, StepSchedule.harmonic(), 1, 14)
     rng = np.random.default_rng(14)
+    init = init_grid(DiscreteMeasure.uniform(mu.draw(rng, 512)), 2, rng)
     sample = mu.draw(rng, 1)[0]
     win = int(np.argmin(squared_distances(sample[None, :], init.centroids)[0]))
     expected = init.centroids.copy()
-    expected[win] = 0.5 * expected[win] + 0.5 * sample
+    g = 1.0 / 11.0
+    expected[win] = (1.0 - g) * expected[win] + g * sample
     np.testing.assert_allclose(result.grid.centroids, expected, rtol=1e-15)
+    assert not np.array_equal(expected, init.centroids)
 
 
 def _reference_loop(samples, x0, schedule):
@@ -476,7 +480,7 @@ def _reference_loop(samples, x0, schedule):
 
 
 @pytest.mark.parametrize(
-    "schedule", [StepSchedule.count_reciprocal(), StepSchedule.harmonic(1.0, 4.0)]
+    "schedule", [StepSchedule.count_reciprocal(), StepSchedule.harmonic()]
 )
 def test_clvq_streamed_from_a_measure_equals_a_loop_over_its_draws(schedule):
     rng = np.random.default_rng(41)
@@ -497,12 +501,11 @@ def test_clvq_streamed_from_a_measure_equals_a_loop_over_its_draws(schedule):
 def test_clvq_allocation_peak_does_not_grow_with_the_step_count():
     d = 256
     mu = DiscreteMeasure.uniform(np.random.default_rng(43).normal(size=(300, d)))
-    init = QuantizationGrid(mu.atoms[:4].copy())
 
     def peak(n_steps):
         tracemalloc.start()
         try:
-            clvq(mu, 4, StepSchedule.count_reciprocal(), n_steps, 44, init=init)
+            clvq(mu, 4, StepSchedule.count_reciprocal(), n_steps, 44)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,17 +1,20 @@
-"""Tests for Lipschitz gap checks and the weighted classifier."""
+"""Tests for Lipschitz test functions, the gap bound and the weighted classifier."""
 
 import numpy as np
 import pytest
 
+from quantdistill import verification
 from quantdistill.errors import DimensionError
-from quantdistill.measures import DiscreteMeasure, QuantizationGrid
+from quantdistill.measures import (
+    DiscreteMeasure,
+    QuantizationGrid,
+    project_to_grid,
+    quadratic_distortion,
+)
 from quantdistill.risk import (
-    GAP_SLACK,
-    GapReport,
     LipschitzFunction,
     TinyClassifier,
     WeightedDataset,
-    check_lipschitz_gap,
     classification_accuracy,
     gradient_discrepancy,
     loss_and_gradient,
@@ -24,7 +27,7 @@ def test_distance_function_values_and_constant():
     f = LipschitzFunction.distance_to([1.0, 0.0])
     assert f.lipschitz_bound == 1.0
     assert f.dim == 2
-    np.testing.assert_allclose(f(np.array([4.0, 4.0])), 5.0)
+    np.testing.assert_allclose(f(np.array([[4.0, 4.0]])), [5.0])
     np.testing.assert_allclose(
         f(np.array([[1.0, 0.0], [1.0, 2.0]])), [0.0, 2.0]
     )
@@ -33,7 +36,7 @@ def test_distance_function_values_and_constant():
 def test_max_affine_function_values():
     slopes = np.array([[1.0, 0.0], [0.0, 1.0]])
     f = LipschitzFunction.max_affine(slopes, np.array([0.0, -1.0]))
-    np.testing.assert_allclose(f(np.array([0.5, 3.0])), 2.0)
+    np.testing.assert_allclose(f(np.array([[0.5, 3.0]])), [2.0])
     assert f.lipschitz_bound == 1.0
     with pytest.raises(ValueError):
         LipschitzFunction.max_affine(2.0 * slopes, np.zeros(2))
@@ -50,6 +53,10 @@ def test_function_dimension_check():
     f = LipschitzFunction.distance_to([0.0])
     with pytest.raises(DimensionError):
         f(np.array([[1.0, 2.0]]))
+    # Functions take (n, d) batches only, so a bare point is rejected.
+    for g in (f, LipschitzFunction.constant(1.0)):
+        with pytest.raises(DimensionError):
+            g(np.array([1.0]))
 
 
 def test_weighted_expectation_matches_dot():
@@ -68,20 +75,25 @@ def test_gap_check_bounds_hand_instance():
         LipschitzFunction.distance_to([0.0]),
         LipschitzFunction.constant(2.0),
     ]
-    reports = check_lipschitz_gap(mu, grid, functions)
-    assert all(r.passed for r in reports)
-    assert reports[0].bound == pytest.approx(0.5)
+    nu = project_to_grid(mu, grid)
+    root_distortion = np.sqrt(quadratic_distortion(mu, grid))
+    assert root_distortion == pytest.approx(0.5)
+    gaps = [abs(weighted_expectation(f, mu) - weighted_expectation(f, nu)) for f in functions]
+    assert gaps[0] <= functions[0].lipschitz_bound * root_distortion
     # The constant function has zero gap and zero bound.
-    assert reports[1].gap == 0.0
-    assert reports[1].bound == 0.0
+    assert gaps[1] == 0.0 and functions[1].lipschitz_bound == 0.0
 
 
-def test_gap_verdict_follows_gap_and_bound():
-    within = GapReport("distance_to_point", gap=1.0 + GAP_SLACK, bound=1.0)
-    assert within.passed and within.slack == 1.0 - (1.0 + GAP_SLACK)
-    assert not GapReport("distance_to_point", gap=1.5, bound=1.0).passed
-    with pytest.raises(TypeError):
-        GapReport("distance_to_point", gap=1.5, bound=1.0, slack=0.0, passed=True)
+def test_gap_verdict_follows_gap_and_bound(monkeypatch):
+    # The registered gap check passes on the cell-mass projection and fails
+    # when the projection carries uniform weights instead of the cell masses.
+    [record] = verification.check_lipschitz_expectation_gap(0)
+    assert record.passed and record.tolerance == 1e-9, record.line()
+    monkeypatch.setattr(
+        verification, "project_to_grid", lambda mu, grid: DiscreteMeasure.uniform(grid.centroids)
+    )
+    [record] = verification.check_lipschitz_expectation_gap(0)
+    assert record.passed is False, record.line()
 
 
 def test_weighted_dataset_validation():
@@ -97,17 +109,17 @@ def test_weighted_dataset_validation():
 
 
 def test_classifier_parameter_counts():
-    assert TinyClassifier.multinomial_logistic(4, 3).n_parameters == 4 * 3 + 3
+    assert TinyClassifier(4, 3).n_parameters == 4 * 3 + 3
     assert (
-        TinyClassifier.one_hidden_layer(4, 3, 8).n_parameters
+        TinyClassifier(4, 3, hidden=8).n_parameters
         == 4 * 8 + 8 + 8 * 3 + 3
     )
     with pytest.raises(ValueError):
-        TinyClassifier.multinomial_logistic(2, 1)
+        TinyClassifier(2, 1)
 
 
 def test_classifier_logits_linear_case():
-    clf = TinyClassifier.multinomial_logistic(2, 2)
+    clf = TinyClassifier(2, 2)
     theta = np.array([1.0, 0.0, 0.0, 1.0, 0.5, -0.5])
     x = np.array([[2.0, 3.0]])
     # theta packs W (row-major, shape (2, 2)) then b.
@@ -118,7 +130,7 @@ def test_classifier_logits_linear_case():
 
 
 def test_classifier_logits_hidden_layer_case():
-    clf = TinyClassifier.one_hidden_layer(1, 2, 1)
+    clf = TinyClassifier(1, 2, hidden=1)
     # theta packs [W1, b1, W2, b2]: W1 = [[2]], b1 = [0], W2 = [[1, -1]], b2 = [0, 0].
     theta = np.array([2.0, 0.0, 1.0, -1.0, 0.0, 0.0])
     x = np.array([[0.3], [-1.0]])
@@ -130,8 +142,8 @@ def test_classifier_logits_hidden_layer_case():
 def test_wrong_length_theta_is_rejected():
     data = WeightedDataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 1]), np.ones(2))
     for clf in (
-        TinyClassifier.multinomial_logistic(2, 2),
-        TinyClassifier.one_hidden_layer(2, 2, 3),
+        TinyClassifier(2, 2),
+        TinyClassifier(2, 2, hidden=3),
     ):
         for theta in (np.zeros(clf.n_parameters - 1), np.zeros(clf.n_parameters + 1)):
             with pytest.raises(ValueError, match="theta must have shape"):
@@ -150,9 +162,9 @@ def test_loss_gradient_matches_finite_differences(model):
     labels[0], labels[1] = 0, 1
     data = WeightedDataset(points, labels, rng.random(12) + 0.5)
     if model == "logistic":
-        clf = TinyClassifier.multinomial_logistic(3, 2)
+        clf = TinyClassifier(3, 2)
     else:
-        clf = TinyClassifier.one_hidden_layer(3, 2, 4)
+        clf = TinyClassifier(3, 2, hidden=4)
     theta = 0.3 * rng.standard_normal(clf.n_parameters)
     _, grad = loss_and_gradient(clf, data, theta)
     h = 1e-6
@@ -171,7 +183,7 @@ def test_loss_weights_scale_invariant_and_replicate_points():
     rng = np.random.default_rng(41)
     points = rng.normal(size=(6, 2))
     labels = np.array([0, 1, 0, 1, 0, 1], dtype=np.intp)
-    clf = TinyClassifier.multinomial_logistic(2, 2)
+    clf = TinyClassifier(2, 2)
     theta = 0.2 * rng.standard_normal(clf.n_parameters)
     base = WeightedDataset(points, labels, np.ones(6))
     scaled = WeightedDataset(points, labels, np.full(6, 7.0))
@@ -201,7 +213,7 @@ def test_train_weighted_decreases_loss_and_is_deterministic():
     )
     labels = np.repeat(np.array([0, 1], dtype=np.intp), 20)
     data = WeightedDataset(points, labels, np.ones(40))
-    clf = TinyClassifier.multinomial_logistic(2, 2)
+    clf = TinyClassifier(2, 2)
     start = clf.init_parameters(7)
     start_loss, _ = loss_and_gradient(clf, data, start)
     theta_a = train_weighted(clf, data, start, epochs=50)
@@ -217,7 +229,7 @@ def test_train_weighted_decreases_loss_and_is_deterministic():
 @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf, -np.inf])
 def test_train_weighted_rejects_a_nonfinite_or_nonpositive_rate(rate):
     data = WeightedDataset(np.array([[-1.0], [1.0]]), np.array([0, 1]), np.ones(2))
-    clf = TinyClassifier.multinomial_logistic(1, 2)
+    clf = TinyClassifier(1, 2)
     with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
         train_weighted(clf, data, clf.init_parameters(0), learning_rate=rate)
 
@@ -230,7 +242,7 @@ def test_classification_accuracy_checks_its_labels(labels, message):
     # One nonnegative label per point: a single label must not broadcast over
     # every point, and a negative label is no class.
     points = np.random.default_rng(44).normal(size=(150, 2))
-    clf = TinyClassifier.multinomial_logistic(2, 3)
+    clf = TinyClassifier(2, 3)
     with pytest.raises(ValueError, match=message):
         classification_accuracy(clf, points, labels, clf.init_parameters(0))
 
@@ -239,7 +251,7 @@ def test_train_weighted_resumes_from_the_given_theta():
     points = np.array([[-1.0, 0.0], [1.0, 0.0]])
     labels = np.array([0, 1], dtype=np.intp)
     data = WeightedDataset(points, labels, np.ones(2))
-    clf = TinyClassifier.multinomial_logistic(2, 2)
+    clf = TinyClassifier(2, 2)
     warm = train_weighted(clf, data, clf.init_parameters(0), epochs=5)
     resumed = train_weighted(clf, data, warm, epochs=5)
     loss_warm, _ = loss_and_gradient(clf, data, warm)
@@ -256,7 +268,7 @@ def test_gradient_discrepancy_zero_on_same_data():
     points = rng.normal(size=(8, 2))
     labels = np.array([0, 1] * 4, dtype=np.intp)
     data = WeightedDataset(points, labels, np.ones(8))
-    clf = TinyClassifier.multinomial_logistic(2, 2)
+    clf = TinyClassifier(2, 2)
     theta = clf.init_parameters(0)
     assert gradient_discrepancy(clf, theta, data, data) == 0.0
 
