@@ -6,19 +6,26 @@ payload; the declared counts must match the payload exactly. Files named
 ``*.csv`` use a text alternative with a ``dim0,dim1,...`` header. Labels are
 one nonnegative integer per line and must cover a contiguous range starting
 at 0. Pipeline documents are one line of JSON whose floats are spelled in the
-shortest form that round-trips binary64 exactly, so reruns are byte-identical;
-older multi-line documents with 17-digit floats load to the same values. After
-its ``format`` tag and ``format_version``, a result document is its dataclass's
-fields in declaration order (a ``TransportedResult`` keeps its ``SdeSpec`` under
-``process``, distilled ``counts`` are integers), read back by following the
-field annotations. Every writer renames a finished temporary file over its
-target, so an interrupted run leaves either the old file or the new one.
+shortest form that round-trips binary64 exactly, so reruns are byte-identical.
+After its ``format`` tag and ``format_version`` (2), a result document is its
+dataclass's fields in declaration order (a ``TransportedResult`` keeps its
+``SdeSpec`` under ``process``), read back by following the field annotations.
+Each array field is one object, ``{"dtype": "<f8" | "<i8", "shape": [...],
+"base64": "..."}``: the array's little-endian bytes in base64, so its values
+are exact by construction (distilled ``counts`` are ``"<i8"``). Version 1
+documents, whose arrays are nested decimal lists, still load to the same
+values, and so do older multi-line ones with 17-digit floats. Rate-scan and
+verification documents keep their arrays as decimal lists. Every writer
+renames a finished temporary file over its target, so an interrupted run
+leaves either the old file or the new one.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
+import math
 import os
 import struct
 import types
@@ -42,7 +49,9 @@ from .measures import as_label_array, as_point_array
 MAGIC = b"OQDL"
 BINARY_VERSION = 1
 HEADER_SIZE = 4 + 4 + 8 + 8
-DOCUMENT_VERSION = 1
+DOCUMENT_VERSION = 2
+# Version 1 spelled result arrays as nested decimal lists.
+READABLE_DOCUMENT_VERSIONS = (1, DOCUMENT_VERSION)
 VERIFICATION_FORMAT = "quantdistill.verification"
 RATE_SCAN_FORMAT = "quantdistill.rate_scan"
 
@@ -256,6 +265,13 @@ class ClassTransport:
     weights: np.ndarray
     report: BoundReport
 
+    def __post_init__(self):
+        if np.ndim(self.atoms) != 2:
+            raise ValueError(f"atoms must be 2-d, got shape {np.shape(self.atoms)}")
+        n = len(self.atoms)
+        if np.shape(self.weights) != (n,):
+            raise ValueError(f"weights must hold one entry per atom ({n})")
+
 
 @dataclass(frozen=True)
 class TransportedResult:
@@ -282,6 +298,10 @@ class TrainReport:
     eval_accuracy: float | None
     theta: np.ndarray
 
+    def __post_init__(self):
+        if np.ndim(self.theta) != 1:
+            raise ValueError(f"theta must be 1-d, got shape {np.shape(self.theta)}")
+
 
 # The document tag of each result type.
 _FORMATS = {
@@ -295,11 +315,53 @@ _FORMATS = {
 # so ``true`` and ``false`` are rejected on their own.
 _JSON_SCALARS = {int: int, float: (int, float), str: str}
 
+# The dtype tags of array objects, with the native dtype each loads as.
+_ARRAY_DTYPES = {"<f8": np.float64, "<i8": np.int64}
+
+
+def _array_object(arr: np.ndarray) -> dict:
+    """``arr`` as its dtype tag, shape and little-endian bytes in base64."""
+    tag = "<i8" if arr.dtype.kind == "i" else "<f8"
+    payload = base64.b64encode(arr.astype(tag, copy=False).tobytes()).decode("ascii")
+    return {"dtype": tag, "shape": list(arr.shape), "base64": payload}
+
+
+def _decode_array_object(value: dict, name: str) -> np.ndarray:
+    """The writable native array an array object holds; errors name ``name``."""
+    tag, shape, payload = value.get("dtype"), value.get("shape"), value.get("base64")
+    if not isinstance(tag, str) or tag not in _ARRAY_DTYPES:
+        raise ValueError(f"{name}.dtype is {tag!r}, not one of {', '.join(_ARRAY_DTYPES)}")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{name}.shape is not a list of non-negative integers")
+    if not isinstance(payload, str):
+        raise ValueError(f"{name}.base64 is not a string")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{name}.base64 is not valid base64: {exc}") from None
+    expected = math.prod(shape) * 8
+    if len(raw) != expected:
+        raise ValueError(f"{name}.base64 holds {len(raw)} bytes, shape {shape} needs {expected}")
+    arr = np.frombuffer(raw, dtype=tag).reshape(shape).astype(_ARRAY_DTYPES[tag])
+    # min and max propagate NaN and reach any infinity, and allocate nothing.
+    if tag == "<f8" and arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise NonFiniteValue(f"{name} holds non-finite values")
+    return arr
+
 
 def _encode(value):
-    """The JSON form of ``value``: a dataclass is its fields in declaration order."""
+    """The JSON form of ``value``: a dataclass is its fields in declaration order.
+
+    An array field of a dataclass becomes an array object; arrays elsewhere
+    (in the dict bodies of rate-scan and verification documents) are left for
+    ``render_json`` to spell as decimal lists.
+    """
     if dataclasses.is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        body = {}
+        for f in dataclasses.fields(value):
+            field = getattr(value, f.name)
+            body[f.name] = _array_object(field) if isinstance(field, np.ndarray) else _encode(field)
+        return body
     if isinstance(value, (tuple, list)):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
@@ -312,7 +374,8 @@ def _decode(kind, value, name: str):
 
     Dataclasses and ``tuple[X, ...]`` recurse, ignoring keys that are not
     fields, and ``X | None`` accepts null.
-    Arrays must be numeric and finite: int64 when every entry is a JSON
+    Arrays must be numeric and finite. An array object loads as its tag's
+    dtype; a decimal list (version 1) as int64 when every entry is a JSON
     integer, float64 otherwise. A scalar must already be of its JSON kind: an
     ``int`` field takes only integers, a ``float`` field any number (with the
     ``NaN`` and ``Infinity`` tokens), a ``str`` field only strings; ``true``
@@ -344,6 +407,8 @@ def _decode(kind, value, name: str):
     if origin is types.UnionType:  # X | None
         return None if value is None else _decode(typing.get_args(kind)[0], value, name)
     if kind is np.ndarray:
+        if isinstance(value, dict):
+            return _decode_array_object(value, name)
         try:
             arr = np.asarray(value)
         except ValueError:  # a ragged list
@@ -373,7 +438,8 @@ def load_document(path, fmt: str) -> dict:
     Raises
     ------
     EmptyFile, LatentFileError, BadMagic
-        For a blank file, text that is not JSON, and a wrong tag or version.
+        For a blank file, text that is not JSON, and a wrong tag or a
+        version outside ``READABLE_DOCUMENT_VERSIONS``.
     """
     path = Path(path)
     text = path.read_text()
@@ -385,8 +451,9 @@ def load_document(path, fmt: str) -> dict:
         raise LatentFileError(f"{path}: invalid JSON document: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise BadMagic(f"{path}: not a {fmt} document")
-    if doc.get("format_version") != DOCUMENT_VERSION:
-        raise BadMagic(f"{path}: unsupported document version")
+    version = doc.get("format_version")
+    if type(version) is not int or version not in READABLE_DOCUMENT_VERSIONS:
+        raise BadMagic(f"{path}: unsupported document version {version!r}")
     return doc
 
 

@@ -1,6 +1,8 @@
 """Tests for file formats, document round trips, and the command line."""
 
 import argparse
+import base64
+import dataclasses
 import json
 import os
 import re
@@ -321,6 +323,48 @@ def sample_distillation():
     return distill(points, labels, 4, 5, batch_size=16, n_iterations=10)
 
 
+# The keys under which result documents hold arrays.
+ARRAY_FIELDS = {"centroids", "counts", "weights", "atoms", "theta"}
+
+
+def array_object(values):
+    """The version-2 spelling of an array, built without latentio."""
+    arr = np.asarray(values)
+    tag = "<i8" if arr.dtype.kind == "i" else "<f8"
+    payload = base64.b64encode(arr.astype(tag).tobytes()).decode("ascii")
+    return {"dtype": tag, "shape": list(arr.shape), "base64": payload}
+
+
+def array_value(obj):
+    return np.frombuffer(base64.b64decode(obj["base64"]), obj["dtype"]).reshape(obj["shape"])
+
+
+def spell_arrays(doc, form):
+    """``doc`` with its arrays as decimal lists (version 1) or array objects (version 2)."""
+
+    def spell(key, value):
+        if key in ARRAY_FIELDS:
+            arr = array_value(value) if isinstance(value, dict) else np.array(value)
+            return arr.tolist() if form == "list" else array_object(arr)
+        if isinstance(value, dict):
+            return {k: spell(k, v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [spell(None, v) for v in value]
+        return value
+
+    return {**spell(None, doc), "format_version": 1 if form == "list" else 2}
+
+
+# Tests of hand-edited documents take a ``form`` argument, "list" by default,
+# which rewrites the saved document as version 1; each has a binary twin that
+# calls it with ``form="binary"`` and so edits a version-2 document.
+def edit_document(path, edit, form):
+    """Apply ``edit`` to the list form of the document at ``path``, then save it in ``form``."""
+    doc = spell_arrays(json.loads(path.read_text()), "list")
+    edit(doc)
+    path.write_text(json.dumps(doc if form == "list" else spell_arrays(doc, "binary")))
+
+
 def test_distillation_document_round_trip(tmp_path):
     result = sample_distillation()
     path = tmp_path / "distilled.json"
@@ -368,16 +412,20 @@ MULTILINE_17_DIGIT_DISTILLATION = """{
 """
 
 
-def test_multiline_17_digit_document_loads_like_its_new_rendering(tmp_path):
+def test_multiline_17_digit_document_loads_like_its_new_rendering(tmp_path, form="list"):
+    source = json.loads(MULTILINE_17_DIGIT_DISTILLATION)
     old = tmp_path / "old.json"
-    old.write_text(MULTILINE_17_DIGIT_DISTILLATION)
+    if form == "list":
+        old.write_text(MULTILINE_17_DIGIT_DISTILLATION)
+    else:
+        old.write_text(json.dumps(spell_arrays(source, "binary"), indent=2))
     loaded = load_distillation(old)
     new = tmp_path / "new.json"
     save_distillation(new, loaded)
     text = new.read_text()
-    assert text.count("\n") == 1 and "0.1," in text
-    # The rewrite drops exactly the three retired keys.
-    expected = json.loads(MULTILINE_17_DIGIT_DISTILLATION)
+    assert text.count("\n") == 1
+    # The rewrite is version 2, arrays as objects, and drops exactly the three retired keys.
+    expected = spell_arrays(source, "binary")
     del expected["schedule"], expected["init_strategy"]
     del expected["classes"][0]["variance_reduced"]
     assert json.loads(text) == expected
@@ -391,6 +439,10 @@ def test_multiline_17_digit_document_loads_like_its_new_rendering(tmp_path):
     assert np.signbit(centroids[0, 1])
     assert reloaded.classes[0].counts.tolist() == [3, 1]
     assert reloaded.classes[0].weights.tolist() == [0.75, 0.25]
+
+
+def test_multiline_binary_document_loads_like_its_new_rendering(tmp_path):
+    test_multiline_17_digit_document_loads_like_its_new_rendering(tmp_path, form="binary")
 
 
 def test_document_rejects_wrong_format_tag(tmp_path):
@@ -520,13 +572,33 @@ def _nan_first(value):
     return arr.tolist()
 
 
+def _replace_payload(obj, value):
+    values = array_value(obj).astype(np.float64)
+    values.flat[0] = value
+    obj.update(array_object(values))
+
+
+# Faults in an array object, each made in place.
+ARRAY_OBJECT_FAULTS = {
+    "dtype_tag": lambda obj: obj.update(dtype="<f4"),
+    "byte_count": lambda obj: obj.update(shape=[obj["shape"][0] + 1, *obj["shape"][1:]]),
+    "base64_chars": lambda obj: obj.update(base64="*" + obj["base64"][1:]),
+    "negative_shape": lambda obj: obj.update(shape=[-1, *obj["shape"][1:]]),
+    "float_shape": lambda obj: obj.update(shape=[float(n) for n in obj["shape"]]),
+    "nan": lambda obj: _replace_payload(obj, np.nan),
+    "inf": lambda obj: _replace_payload(obj, -np.inf),
+}
+
+
 @pytest.mark.parametrize("fault", ["missing_key", "ragged", "string", "nan", "wrong_scalar"])
 @pytest.mark.parametrize("kind", sorted(MALFORMED_CASES))
-def test_malformed_document_names_file_and_field(tmp_path, kind, fault):
+def test_malformed_document_names_file_and_field(tmp_path, kind, fault, form="list"):
     save, load, sample, missing, array, scalar, wrong = MALFORMED_CASES[kind]
     path = tmp_path / "doc.json"
     save(path, sample())
     doc = json.loads(path.read_text())
+    if form == "list":
+        doc = spell_arrays(doc, "list")
     keys = {"missing_key": missing, "wrong_scalar": scalar}.get(fault, array)
     parent = doc
     for key in keys[:-1]:
@@ -535,6 +607,8 @@ def test_malformed_document_names_file_and_field(tmp_path, kind, fault):
         del parent[keys[-1]]
     elif fault == "wrong_scalar":
         parent[keys[-1]] = wrong
+    elif form == "binary":
+        ARRAY_OBJECT_FAULTS[fault](parent[keys[-1]])
     else:
         parent[keys[-1]] = {
             "ragged": [[1.0], [1.0, 2.0]],
@@ -547,11 +621,78 @@ def test_malformed_document_names_file_and_field(tmp_path, kind, fault):
     message = str(info.value)
     assert str(path) in message
     assert _dotted(keys) in message
-    if fault == "nan":
+    if fault in ("nan", "inf"):
         assert isinstance(info.value, NonFiniteValue)
         assert "non-finite" in message
     else:
         assert "malformed" in message and "non-finite" not in message
+
+
+@pytest.mark.parametrize("fault", ["missing_key", "wrong_scalar", *ARRAY_OBJECT_FAULTS])
+@pytest.mark.parametrize("kind", sorted(MALFORMED_CASES))
+def test_malformed_binary_document_names_file_and_field(tmp_path, kind, fault):
+    test_malformed_document_names_file_and_field(tmp_path, kind, fault, form="binary")
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_CASES))
+def test_version_1_document_loads_bit_for_bit_like_version_2(tmp_path, kind):
+    save, load, sample, *_ = MALFORMED_CASES[kind]
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    save(new, sample())
+    old.write_text(json.dumps(spell_arrays(json.loads(new.read_text()), "list")))
+    # A version-1 document rewrites to the version-2 bytes.
+    rewritten = tmp_path / "rewritten.json"
+    save(rewritten, load(old))
+    assert rewritten.read_bytes() == new.read_bytes()
+
+
+@pytest.mark.parametrize("version", [0, 3, "2", 2.0, True, None])
+def test_document_rejects_an_unknown_format_version(tmp_path, version):
+    path = tmp_path / "distilled.json"
+    save_distillation(path, sample_distillation())
+    doc = json.loads(path.read_text())
+    doc["format_version"] = version
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BadMagic, match="unsupported document version") as info:
+        load_distillation(path)
+    assert str(path) in str(info.value)
+
+
+def test_array_objects_round_trip_extreme_values_bit_for_bit(tmp_path):
+    big = np.iinfo(np.int64).max
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    distilled = DistillationResult(
+        seed=0, per_class=4, dim=1, batch_size=1, n_iterations=1,
+        classes=(ClassQuantization(
+            label=0,
+            centroids=np.array(extremes).reshape(4, 1),
+            counts=np.array([big, -big, 0, 1], dtype=np.int64),
+            weights=np.array(extremes[::-1]),
+        ),),
+    )
+    report = dataclasses.replace(sample_train_report(), theta=np.array(extremes))
+    for save, load, result, holder, names in (
+        (save_distillation, load_distillation, distilled, lambda r: r.classes[0],
+         ("centroids", "counts", "weights")),
+        (save_train_report, load_train_report, report, lambda r: r, ("theta",)),
+    ):
+        path = tmp_path / "doc.json"
+        save(path, result)
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        loaded = load(path)
+        for name in names:
+            before, after = getattr(holder(result), name), getattr(holder(loaded), name)
+            assert (after.dtype, after.shape) == (before.dtype, before.shape)
+            assert after.tobytes() == before.tobytes()
+            assert after.flags.writeable and after.dtype.isnative
+        # A rewrite of the loaded document is byte-identical.
+        again = tmp_path / "again.json"
+        save(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+    doc = json.loads((tmp_path / "doc.json").read_text())
+    assert doc["format_version"] == 2
+    assert doc["theta"] == array_object(extremes)
 
 
 def test_transported_document_with_an_invalid_process_names_it(tmp_path):
@@ -565,7 +706,7 @@ def test_transported_document_with_an_invalid_process_names_it(tmp_path):
     assert str(path) in str(info.value)
 
 
-def test_document_counts_are_integers_and_arrays_keep_their_kind(tmp_path):
+def test_document_counts_are_integers_and_arrays_keep_their_kind(tmp_path, form="list"):
     result = sample_distillation()
     assert all(cls.counts.dtype == np.int64 for cls in result.classes)
     path = tmp_path / "distilled.json"
@@ -574,11 +715,18 @@ def test_document_counts_are_integers_and_arrays_keep_their_kind(tmp_path):
     for cls in loaded.classes:
         assert cls.counts.dtype == np.int64
         assert cls.centroids.dtype == cls.weights.dtype == np.float64
+    assert json.loads(path.read_text())["classes"][0]["counts"]["dtype"] == "<i8"
+
     # One float entry makes the whole array float64.
-    doc = json.loads(path.read_text())
-    doc["classes"][0]["counts"][0] = 1.5
-    path.write_text(json.dumps(doc))
+    def edit(doc):
+        doc["classes"][0]["counts"][0] = 1.5
+
+    edit_document(path, edit, form)
     assert load_distillation(path).classes[0].counts.dtype == np.float64
+
+
+def test_binary_document_counts_are_integers_and_arrays_keep_their_kind(tmp_path):
+    test_document_counts_are_integers_and_arrays_keep_their_kind(tmp_path, form="binary")
 
 
 def write_demo_files(tmp_path, seed=0):
@@ -713,16 +861,22 @@ def test_diffuse_rejects_a_reference_of_the_wrong_dimension(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_train_names_the_document_with_a_nonfinite_centroid(tmp_path, capsys):
+def test_cli_train_names_the_document_with_a_nonfinite_centroid(tmp_path, capsys, form="list"):
     path = tmp_path / "d.json"
     save_distillation(path, sample_distillation())
-    doc = json.loads(path.read_text())
-    doc["classes"][1]["centroids"][0][0] = float("nan")
-    path.write_text(json.dumps(doc))
+
+    def edit(doc):
+        doc["classes"][1]["centroids"][0][0] = float("nan")
+
+    edit_document(path, edit, form)
     status = cli.main(["train", "--distilled", str(path), "--out", str(tmp_path / "r.json")])
     assert status == 2
     err = capsys.readouterr().err
     assert f"{path}: classes[1].centroids holds non-finite values" in err
+
+
+def test_cli_train_names_the_binary_document_with_a_nonfinite_centroid(tmp_path, capsys):
+    test_cli_train_names_the_document_with_a_nonfinite_centroid(tmp_path, capsys, form="binary")
 
 
 # Edits to classes[0] of a saved distillation, each with the field its error names.
@@ -738,13 +892,11 @@ SHAPE_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", sorted(SHAPE_FAULTS))
-def test_cli_train_names_a_misshapen_distillation_field(tmp_path, capsys, fault):
+def test_cli_train_names_a_misshapen_distillation_field(tmp_path, capsys, fault, form="list"):
     edit, field = SHAPE_FAULTS[fault]
     path = tmp_path / "d.json"
     save_distillation(path, sample_distillation())
-    doc = json.loads(path.read_text())
-    edit(doc["classes"][0])
-    path.write_text(json.dumps(doc))
+    edit_document(path, lambda doc: edit(doc["classes"][0]), form)
     report = tmp_path / "r.json"
     status = cli.main(["train", "--distilled", str(path), "--out", str(report)])
     assert status == 2
@@ -752,6 +904,43 @@ def test_cli_train_names_a_misshapen_distillation_field(tmp_path, capsys, fault)
     assert f"{path}: malformed quantdistill.distillation document" in err
     assert "classes[0]" in err and field in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("fault", sorted(SHAPE_FAULTS))
+def test_cli_train_names_a_misshapen_binary_distillation_field(tmp_path, capsys, fault):
+    test_cli_train_names_a_misshapen_distillation_field(tmp_path, capsys, fault, form="binary")
+
+
+# Edits to a transported document or a train report, each with the message its load gives.
+RESULT_SHAPE_FAULTS = {
+    "flat_atoms": (
+        save_transported, load_transported, sample_transported,
+        lambda doc: doc["classes"][0].update(atoms=[0.1, 0.9]),
+        "classes[0]: atoms must be 2-d, got shape (2,)",
+    ),
+    "short_weights": (
+        save_transported, load_transported, sample_transported,
+        lambda doc: doc["classes"][0]["weights"].pop(),
+        "classes[0]: weights must hold one entry per atom (2)",
+    ),
+    "matrix_theta": (
+        save_train_report, load_train_report, sample_train_report,
+        lambda doc: doc.update(theta=[doc["theta"]]),
+        "theta must be 1-d, got shape (1, 3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("form", ["list", "binary"])
+@pytest.mark.parametrize("fault", sorted(RESULT_SHAPE_FAULTS))
+def test_misshapen_transported_and_train_report_fields_are_named(tmp_path, fault, form):
+    save, load, sample, edit, expected = RESULT_SHAPE_FAULTS[fault]
+    path = tmp_path / "doc.json"
+    save(path, sample())
+    edit_document(path, edit, form)
+    with pytest.raises(LatentFileError) as info:
+        load(path)
+    assert str(path) in str(info.value) and expected in str(info.value)
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf"])
@@ -844,6 +1033,9 @@ def test_cli_rate_scan_writes_document(tmp_path, capsys):
     doc = load_document(out, latentio.RATE_SCAN_FORMAT)
     assert doc["levels"] == [2, 4]
     assert doc["fitted_slope"] < 0
+    # Its arrays stay decimal lists under the current document version.
+    assert doc["format_version"] == latentio.DOCUMENT_VERSION == 2
+    assert len(doc["errors"]) == 2 and all(isinstance(e, float) for e in doc["errors"])
 
 
 def test_cli_missing_input_exits_with_usage_code(tmp_path, capsys):
