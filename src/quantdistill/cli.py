@@ -106,6 +106,17 @@ def cmd_train(args) -> int:
         raise ValueError("--eval-latents is required with --eval-labels")
     if args.eval_latents is not None:
         eval_points, eval_labels = _load_cloud(args.eval_latents, args.eval_labels)
+        if eval_points.shape[1] != result.dim:
+            raise DimensionError(
+                f"eval points in {args.eval_latents} have dimension {eval_points.shape[1]}, "
+                f"but {args.distilled} has dimension {result.dim}"
+            )
+        n_classes = max(cls.label for cls in result.classes) + 1
+        if eval_labels.max() >= n_classes:
+            raise ValueError(
+                f"{args.eval_labels}: eval labels name class {eval_labels.max()}, "
+                f"but {args.distilled} has classes 0 to {n_classes - 1}"
+            )
     _, report = pipeline.train(
         result,
         weight_mode=args.weights,

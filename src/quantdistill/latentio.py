@@ -44,7 +44,7 @@ from .errors import (
     QuantDistillError,
     TruncatedFile,
 )
-from .measures import as_label_array, as_point_array
+from .measures import _all_finite, as_label_array, as_point_array
 
 MAGIC = b"OQDL"
 BINARY_VERSION = 1
@@ -129,7 +129,7 @@ def _load_latents_csv(path: Path) -> np.ndarray:
                 raise NonFiniteValue(
                     f"{path}: line {number} column {c} is not a number: {token.strip()!r}"
                 ) from None
-    if not np.all(np.isfinite(rows)):
+    if not _all_finite(rows):
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
         raise NonFiniteValue(f"{path}: line {lines[bad + 1][0]} holds NaN or infinite entries")
     return rows
@@ -177,8 +177,7 @@ def load_latents(path) -> np.ndarray:
             f"{path}: payload ended after {arr.shape[0]} of {rows * cols} values"
         )
     arr = arr.astype(np.float64, copy=False).reshape(rows, cols)
-    # min and max propagate NaN and reach any infinity, and allocate nothing.
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+    if not _all_finite(arr):
         bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
         raise NonFiniteValue(f"{path}: row {bad} (0-based) holds NaN or infinite entries")
     return arr
@@ -343,8 +342,7 @@ def _decode_array_object(value: dict, name: str) -> np.ndarray:
     if len(raw) != expected:
         raise ValueError(f"{name}.base64 holds {len(raw)} bytes, shape {shape} needs {expected}")
     arr = np.frombuffer(raw, dtype=tag).reshape(shape).astype(_ARRAY_DTYPES[tag])
-    # min and max propagate NaN and reach any infinity, and allocate nothing.
-    if tag == "<f8" and arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+    if tag == "<f8" and not _all_finite(arr):
         raise NonFiniteValue(f"{name} holds non-finite values")
     return arr
 
@@ -415,7 +413,7 @@ def _decode(kind, value, name: str):
             arr = None
         if arr is None or arr.dtype.kind not in "if":
             raise ValueError(f"{name} is not a numeric array")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise NonFiniteValue(f"{name} holds non-finite values")
         return arr.astype(np.int64 if arr.dtype.kind == "i" else np.float64, copy=False)
     if isinstance(value, bool) or not isinstance(value, _JSON_SCALARS[kind]):

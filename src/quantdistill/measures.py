@@ -26,6 +26,15 @@ from .errors import DimensionError
 WEIGHT_SUM_TOL = 1e-12
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite; an empty array is.
+
+    ``min`` and ``max`` propagate NaN and reach any infinity, and allocate
+    nothing of the array's size, unlike ``np.all(np.isfinite(arr))``.
+    """
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 def as_point_array(values, name: str = "points") -> np.ndarray:
     """Coerce to a C-contiguous float64 array of shape (n, d) with finite entries."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
@@ -33,7 +42,7 @@ def as_point_array(values, name: str = "points") -> np.ndarray:
         raise ValueError(f"{name} must be a 2-d array, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must be nonempty in both axes, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -65,7 +74,7 @@ def as_point(value, name: str = "point") -> np.ndarray:
     arr = np.ascontiguousarray(value, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise ValueError(f"{name} must be a 1-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -129,7 +138,7 @@ class DiscreteMeasure:
             raise ValueError(
                 f"weights must have shape ({atoms.shape[0]},), got {weights.shape}"
             )
-        if not np.all(np.isfinite(weights)):
+        if not _all_finite(weights):
             raise ValueError("weights must be finite")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")

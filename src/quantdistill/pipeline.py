@@ -298,18 +298,39 @@ def train(
     on the distilled points, and, when an evaluation cloud is supplied, the
     accuracy there. ``eval_points`` and
     ``eval_labels`` go together: giving one without the other raises
-    ``ValueError``.
+    ``ValueError``. Both are checked before the first epoch: points of
+    another dimension than the distillation's raise ``DimensionError``, and
+    a label naming a class the distillation lacks raises ``ValueError``.
+
+    Gradient descent never moves the first weight block out of the span of
+    the distilled points, since its gradient is ``X.T @ dZ``. So the run
+    happens in that span (``_train_in_span``): the n distilled points enter
+    as their coordinates in an orthonormal basis of min(n, d) columns, and
+    the trained block is lifted back to d rows. Logits, losses, gradient
+    norms and step decisions are those of the d-dimensional run in exact
+    arithmetic, so ``theta`` differs from it only by rounding, in its last
+    bits, while an epoch costs n·min(n, d)·h instead of n·d·h.
     """
     if eval_points is not None and eval_labels is None:
         raise ValueError("eval_labels is required with eval_points")
     if eval_labels is not None and eval_points is None:
         raise ValueError("eval_points is required with eval_labels")
+    dataset = build_dataset(result, weight_mode)
     if eval_points is not None:
         eval_points = np.ascontiguousarray(eval_points, dtype=np.float64)
-        eval_labels = as_label_array(eval_labels, len(eval_points))
-    dataset = build_dataset(result, weight_mode)
+        if eval_points.ndim != 2 or eval_points.shape[1] != dataset.dim:
+            raise DimensionError(
+                f"eval points must have shape (n, {dataset.dim}) like the distillation, "
+                f"got {eval_points.shape}"
+            )
+        eval_labels = as_label_array(eval_labels, eval_points.shape[0])
+        if eval_labels.max() >= dataset.n_classes:
+            raise ValueError(
+                f"eval labels name class {eval_labels.max()}, "
+                f"but the distillation has classes 0 to {dataset.n_classes - 1}"
+            )
     classifier = parse_model(model, dataset.dim, dataset.n_classes)
-    theta = train_weighted(
+    theta = _train_in_span(
         classifier,
         dataset,
         classifier.init_parameters(seed),
@@ -333,6 +354,41 @@ def train(
         theta=theta,
     )
     return classifier, report
+
+
+def _train_in_span(
+    classifier: TinyClassifier,
+    data: WeightedDataset,
+    theta,
+    *,
+    learning_rate: float,
+    epochs: int,
+) -> np.ndarray:
+    """``train_weighted(classifier, data, theta)`` run in the span of ``data.points``.
+
+    With ``X.T = Q @ R`` (reduced QR, ``Q`` of shape (d, m), m = min(n, d)),
+    the points are ``R.T @ Q.T``, so the first layer's logits are
+    ``R.T @ (Q.T @ W1)`` and its gradient ``Q @ R @ dZ`` has the norm of
+    ``R @ dZ``. The same descent therefore runs on the m-column inputs
+    ``R.T`` from ``V0 = Q.T @ W1_0``, every other block as given, and its
+    trained ``V`` lifts to ``W1 = W1_0 + Q @ (V - V0)``. Each epoch costs
+    n·m·h instead of n·d·h; with n >= d, ``Q`` is square and this is a
+    rotation at the same cost.
+    """
+    _, d, width = classifier.layout[0]
+    q, r = np.linalg.qr(data.points.T)
+    m = q.shape[1]
+    first = theta[: d * width].reshape(d, width)
+    start = q.T @ first
+    trained = train_weighted(
+        TinyClassifier(m, classifier.n_classes, classifier.hidden),
+        WeightedDataset(r.T, data.labels, data.weights),
+        np.concatenate([start.ravel(), theta[d * width :]]),
+        learning_rate=learning_rate,
+        epochs=epochs,
+    )
+    lifted = first + q @ (trained[: m * width].reshape(m, width) - start)
+    return np.concatenate([lifted.ravel(), trained[m * width :]])
 
 
 def demo_dataset(

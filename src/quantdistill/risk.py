@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DimensionError, NonFiniteLoss
 from .measures import (
     DiscreteMeasure,
+    _all_finite,
     _check_same_dim,
     _softmax_rows,
     as_label_array,
@@ -56,7 +57,7 @@ class LipschitzFunction:
             offsets = np.ascontiguousarray(self.offsets, dtype=np.float64)
             if offsets.shape != (slopes.shape[0],):
                 raise ValueError("offsets must hold one value per slope")
-            if not np.all(np.isfinite(offsets)):
+            if not _all_finite(offsets):
                 raise ValueError("offsets must be finite")
             norms = np.sqrt((slopes**2).sum(axis=1))
             if np.any(np.abs(norms - 1.0) > UNIT_SLOPE_TOL):
@@ -134,7 +135,7 @@ class WeightedDataset:
         n = points.shape[0]
         labels = as_label_array(self.labels, n)
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if weights.shape != (n,) or not np.all(np.isfinite(weights)):
+        if weights.shape != (n,) or not _all_finite(weights):
             raise ValueError("weights must be one finite value per point")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
@@ -256,7 +257,7 @@ def loss_and_gradient(
         if i:
             dz = (dz @ weight.T) * (1.0 - a**2)
     grad = np.concatenate(grads[::-1])
-    if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+    if not (np.isfinite(loss) and _all_finite(grad)):
         raise NonFiniteLoss("loss or gradient is not finite")
     return loss, grad
 

@@ -93,6 +93,19 @@ def test_weighting_reduction_fails_when_the_projection_has_uniform_weights(monke
     assert failed == ["weighted_reduction_median"], [r.line() for r in records]
 
 
+def test_weighted_gradients_closer_fails_when_the_cell_masses_are_uniform(monkeypatch):
+    # Every distilled cloud gets uniform weights, so the two discrepancies
+    # tie in every trial and a tie is no win.
+    exact = verification.WeightedDataset
+    monkeypatch.setattr(
+        verification,
+        "WeightedDataset",
+        lambda points, labels, weights: exact(points, labels, np.ones(len(labels))),
+    )
+    [record] = verification.check_gradient_discrepancy_weighting(ACCEPTANCE_SEED)
+    assert record.measured == 0.0 and record.passed is False, record.line()
+
+
 def test_score_monotonicity_fails_for_a_score_of_flipped_sign(monkeypatch):
     exact = verification.analytic_score
     monkeypatch.setattr(verification, "analytic_score", lambda *args: -exact(*args))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quantdistill import cli, latentio, verification
+from quantdistill import cli, latentio, pipeline, verification
 from quantdistill.diffusion import BoundReport, SdeSpec
 from quantdistill.errors import (
     BadMagic,
@@ -1003,6 +1003,44 @@ def test_train_checks_its_evaluation_pair():
         train(result, epochs=5, eval_points=points, eval_labels=[0])
     _, report = train(result, epochs=5, eval_points=points, eval_labels=labels)
     assert report.eval_accuracy is not None
+
+
+def test_train_checks_its_evaluation_cloud_before_training(monkeypatch):
+    result = distill(*demo_dataset(0, n_per_class=50), 3, 1)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the evaluation cloud")
+
+    monkeypatch.setattr(pipeline, "_train_in_span", no_training)
+    wide = demo_dataset(0, n_per_class=50, dim=4)
+    with pytest.raises(DimensionError, match=r"eval points must have shape \(n, 2\) .*, got \(150, 4\)"):
+        train(result, epochs=5, eval_points=wide[0], eval_labels=wide[1])
+    extra = demo_dataset(0, n_per_class=50, n_classes=4)
+    with pytest.raises(ValueError, match="eval labels name class 3, .* classes 0 to 2"):
+        train(result, epochs=5, eval_points=extra[0], eval_labels=extra[1])
+
+
+@pytest.mark.parametrize("fault", ["dimension", "class"])
+def test_cli_train_names_both_files_of_a_mismatched_eval_cloud(tmp_path, capsys, fault):
+    distilled = tmp_path / "distilled.json"
+    save_distillation(distilled, distill(*demo_dataset(0, n_per_class=50), 3, 1))
+    if fault == "dimension":
+        points, labels = demo_dataset(1, n_per_class=50, dim=4)
+    else:
+        points, labels = demo_dataset(1, n_per_class=50, n_classes=4)
+    latents, labels_path = tmp_path / "eval.bin", tmp_path / "eval.txt"
+    save_latents(latents, points)
+    save_labels(labels_path, labels)
+    report = tmp_path / "report.json"
+    status = cli.main(
+        ["train", "--distilled", str(distilled), "--out", str(report),
+         "--eval-latents", str(latents), "--eval-labels", str(labels_path)]
+    )
+    err = capsys.readouterr().err
+    assert status == 2
+    named = latents if fault == "dimension" else labels_path
+    assert str(named) in err and str(distilled) in err, err
+    assert not report.exists()
 
 
 def test_cli_w2_prints_distance(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for discrete measures, grids, partitions, and the distortion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,29 @@ def test_squared_distances_matches_loop():
         for j in range(4):
             expected = ((points[i] - centroids[j]) ** 2).sum()
             np.testing.assert_allclose(d2[i, j], expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_coercions_reject_every_nonfinite_value_without_a_temporary(bad):
+    points = np.random.default_rng(62).normal(size=(2000, 64))
+    assert measures._all_finite(points) and measures._all_finite(np.empty((0, 3)))
+    tracemalloc.start()
+    try:
+        measures.as_point_array(points)
+        measures.as_point(points[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A boolean mask of the points would take 128 000 bytes.
+    assert peak < points.size // 8
+    for corner in [(0, 0), (1999, 63), (1000, 31)]:
+        spoiled = points.copy()
+        spoiled[corner] = bad
+        assert not measures._all_finite(spoiled)
+        with pytest.raises(ValueError, match="^cloud must be finite$"):
+            measures.as_point_array(spoiled, "cloud")
+        with pytest.raises(ValueError, match="^anchor must be finite$"):
+            measures.as_point(spoiled[corner[0]], "anchor")
 
 
 def test_in_place_softmax_has_scipys_bits():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quantdistill import verification
+from quantdistill import pipeline, verification
 from quantdistill.errors import DimensionError
 from quantdistill.measures import (
     DiscreteMeasure,
@@ -261,6 +261,36 @@ def test_train_weighted_resumes_from_the_given_theta():
     # Five epochs resumed from five are the same run as ten.
     ten = train_weighted(clf, data, clf.init_parameters(0), epochs=10)
     np.testing.assert_array_equal(resumed, ten)
+
+
+@pytest.mark.parametrize("model", ["logistic", "hidden:6"])
+@pytest.mark.parametrize("dim", [31, 12, 5])
+def test_training_in_the_span_of_the_points_is_the_full_run(model, dim):
+    # n = 12 points against d = 31, 12 and 5, with a duplicate row and an
+    # all-zero point, so the points never have full rank.
+    rng = np.random.default_rng(dim)
+    labels = np.repeat(np.arange(3), 4)
+    points = rng.normal(size=(12, dim)) + 1.5 * labels[:, None]
+    points[5] = points[4]
+    points[9] = 0.0
+    data = WeightedDataset(points, labels, rng.uniform(0.5, 2.0, size=12))
+    clf = pipeline.parse_model(model, dim, 3)
+    start = clf.init_parameters(3)
+    full = train_weighted(clf, data, start, epochs=60)
+    span = pipeline._train_in_span(clf, data, start, learning_rate=1.0, epochs=60)
+    # Only rounding differs, but descent can amplify it over the epochs: on
+    # these instances it reached 3e-13 of the largest parameter (hidden
+    # layer, d = 31), and 2e-11 on other seeds; 1e-10 leaves a margin.
+    assert np.max(np.abs(span - full)) <= 1e-10 * np.max(np.abs(full))
+    fresh = rng.normal(size=(200, dim)) + 1.5 * rng.integers(0, 3, size=(200, 1))
+    for cloud in (points, fresh):
+        np.testing.assert_array_equal(clf.predict(cloud, span), clf.predict(cloud, full))
+    # The first block moved only within the span of the points.
+    width = clf.layout[0][2]
+    moved = (span - start)[: dim * width].reshape(dim, width)
+    q, _ = np.linalg.qr(points.T)
+    outside = moved - q @ (q.T @ moved)
+    assert np.max(np.abs(outside)) <= 1e-13 * np.max(np.abs(moved))
 
 
 def test_gradient_discrepancy_zero_on_same_data():
