@@ -12,6 +12,7 @@ usage errors or unreadable input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -44,23 +45,24 @@ def _resolve_seed(value: int | None) -> int:
     return value
 
 
-def _load_cloud(latents_path, labels_path):
-    points = latentio.load_latents(latents_path)
-    labels = latentio.load_labels(labels_path, n_expected=points.shape[0])
-    return points, labels
+@contextlib.contextmanager
+def _open_cloud(latents_path, labels_path):
+    """A latent file open for row reads (``latentio.open_latents``) and its labels."""
+    with latentio.open_latents(latents_path) as points:
+        yield points, latentio.load_labels(labels_path, n_expected=points.shape[0])
 
 
 def cmd_distill(args) -> int:
     seed = _resolve_seed(args.seed)
-    points, labels = _load_cloud(args.latents, args.labels)
-    result = pipeline.distill(
-        points,
-        labels,
-        args.ipc,
-        seed,
-        batch_size=args.batch_size,
-        n_iterations=args.iterations,
-    )
+    with _open_cloud(args.latents, args.labels) as (points, labels):
+        result = pipeline.distill(
+            points,
+            labels,
+            args.ipc,
+            seed,
+            batch_size=args.batch_size,
+            n_iterations=args.iterations,
+        )
     latentio.save_distillation(args.out, result)
     n_classes = len(result.classes)
     print(
@@ -73,17 +75,19 @@ def cmd_distill(args) -> int:
 def cmd_diffuse(args) -> int:
     seed = _resolve_seed(args.seed)
     result = latentio.load_distillation(args.distilled)
-    points, labels = _load_cloud(args.latents, args.labels)
-    if points.shape[1] != result.dim:
-        raise DimensionError(
-            f"reference points in {args.latents} have dimension {points.shape[1]}, "
-            f"but {args.distilled} has dimension {result.dim}"
-        )
-    missing = [cls.label for cls in result.classes if cls.label > labels.max()]
-    if missing:
-        raise ValueError(f"{args.labels}: reference data has no points for class {min(missing)}")
-    sde = SdeSpec(args.sde, args.horizon, args.delta, args.steps)
-    transported = pipeline.diffuse(result, points, labels, sde, args.mc, seed)
+    with _open_cloud(args.latents, args.labels) as (points, labels):
+        if points.shape[1] != result.dim:
+            raise DimensionError(
+                f"reference points in {args.latents} have dimension {points.shape[1]}, "
+                f"but {args.distilled} has dimension {result.dim}"
+            )
+        missing = [cls.label for cls in result.classes if cls.label > labels.max()]
+        if missing:
+            raise ValueError(
+                f"{args.labels}: reference data has no points for class {min(missing)}"
+            )
+        sde = SdeSpec(args.sde, args.horizon, args.delta, args.steps)
+        transported = pipeline.diffuse(result, points, labels, sde, args.mc, seed)
     latentio.save_transported(args.out, transported)
     for cls in transported.classes:
         report = cls.report
@@ -99,34 +103,37 @@ def cmd_diffuse(args) -> int:
 def cmd_train(args) -> int:
     seed = _resolve_seed(args.seed)
     result = latentio.load_distillation(args.distilled)
-    eval_points = eval_labels = None
     if args.eval_latents is not None and args.eval_labels is None:
         raise ValueError("--eval-labels is required with --eval-latents")
     if args.eval_labels is not None and args.eval_latents is None:
         raise ValueError("--eval-latents is required with --eval-labels")
-    if args.eval_latents is not None:
-        eval_points, eval_labels = _load_cloud(args.eval_latents, args.eval_labels)
-        if eval_points.shape[1] != result.dim:
-            raise DimensionError(
-                f"eval points in {args.eval_latents} have dimension {eval_points.shape[1]}, "
-                f"but {args.distilled} has dimension {result.dim}"
+    with contextlib.ExitStack() as stack:
+        eval_points = eval_labels = None
+        if args.eval_latents is not None:
+            eval_points, eval_labels = stack.enter_context(
+                _open_cloud(args.eval_latents, args.eval_labels)
             )
-        n_classes = max(cls.label for cls in result.classes) + 1
-        if eval_labels.max() >= n_classes:
-            raise ValueError(
-                f"{args.eval_labels}: eval labels name class {eval_labels.max()}, "
-                f"but {args.distilled} has classes 0 to {n_classes - 1}"
-            )
-    _, report = pipeline.train(
-        result,
-        weight_mode=args.weights,
-        model=args.model,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=seed,
-        eval_points=eval_points,
-        eval_labels=eval_labels,
-    )
+            if eval_points.shape[1] != result.dim:
+                raise DimensionError(
+                    f"eval points in {args.eval_latents} have dimension "
+                    f"{eval_points.shape[1]}, but {args.distilled} has dimension {result.dim}"
+                )
+            n_classes = max(cls.label for cls in result.classes) + 1
+            if eval_labels.max() >= n_classes:
+                raise ValueError(
+                    f"{args.eval_labels}: eval labels name class {eval_labels.max()}, "
+                    f"but {args.distilled} has classes 0 to {n_classes - 1}"
+                )
+        _, report = pipeline.train(
+            result,
+            weight_mode=args.weights,
+            model=args.model,
+            learning_rate=args.lr,
+            epochs=args.epochs,
+            seed=seed,
+            eval_points=eval_points,
+            eval_labels=eval_labels,
+        )
     latentio.save_train_report(args.out, report)
     line = (
         f"final loss {report.final_loss:.6g}, "
@@ -221,7 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "distill", help="quantize each class of a labeled latent cloud"
+        "distill",
+        help="quantize each class of a labeled latent cloud",
+        description="Quantize each class of a labeled latent cloud into weighted "
+        "centroids. A binary latent file is read one class at a time, as each "
+        "class is quantized, so the first error reported (a non-finite row, too "
+        "few distinct points, or a centroid that never won a draw) is that of the "
+        "lowest failing class.",
     )
     p.add_argument("--latents", required=True, help="latent point file (.bin or .csv)")
     p.add_argument("--labels", required=True, help="one integer label per line")

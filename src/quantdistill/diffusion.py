@@ -9,8 +9,7 @@ expectation gap between the two transported clouds is controlled by an
 explicit constant times their Wasserstein-2 distance at the horizon. This
 module implements the forward marginals, the score, the reverse integrator,
 the constant, and drivers that measure every quantity in one run. The score
-and the log density take (n, d) batches of points, as the integrator holds
-them.
+takes (n, d) batches of points, as the integrator holds them.
 """
 
 from __future__ import annotations
@@ -110,24 +109,6 @@ def forward_marginal(
     return DiscreteMeasure.uniform(atoms)
 
 
-def _mixture_logits(ref: ReferenceLaw, scale: float, var: float, x: np.ndarray):
-    means = scale * ref.base.atoms
-    with np.errstate(divide="ignore"):
-        log_w = np.log(ref.base.weights)
-    logits = squared_distances(x, means)
-    logits /= 2.0 * var
-    np.subtract(log_w[None, :], logits, out=logits)
-    return logits, means
-
-
-def _as_batch(ref: ReferenceLaw, x) -> np.ndarray:
-    """``x`` as an (n, d) float array in the reference's dimension."""
-    batch = np.asarray(x, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != ref.dim:
-        raise DimensionError(f"points must be an (n, {ref.dim}) batch, got shape {batch.shape}")
-    return batch
-
-
 def analytic_score(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.ndarray:
     """Gradient of the log marginal density at time t.
 
@@ -139,18 +120,17 @@ def analytic_score(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.ndarray:
     the nearest component's pull.
     """
     scale, var = _marginal_params(sde, t)
-    batch = _as_batch(ref, x)
-    resp, means = _mixture_logits(ref, scale, var, batch)
+    batch = np.asarray(x, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1] != ref.dim:
+        raise DimensionError(f"points must be an (n, {ref.dim}) batch, got shape {batch.shape}")
+    means = scale * ref.base.atoms
+    with np.errstate(divide="ignore"):
+        log_w = np.log(ref.base.weights)
+    resp = squared_distances(batch, means)
+    resp /= 2.0 * var
+    np.subtract(log_w[None, :], resp, out=resp)  # the mixture logits
     _softmax_rows(resp)  # the logits become the responsibilities in place
     return (resp @ means - batch) / var
-
-
-def log_marginal_density(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.ndarray:
-    """Log density of the noised reference law at time t, per point of an (n, d) batch."""
-    scale, var = _marginal_params(sde, t)
-    logits, _ = _mixture_logits(ref, scale, var, _as_batch(ref, x))
-    shift, total = _softmax_rows(logits)
-    return (shift + np.log(total))[:, 0] - 0.5 * ref.dim * np.log(2.0 * np.pi * var)
 
 
 def reverse_integrate(

@@ -2,10 +2,15 @@
 
 Binary latent files carry a 4-byte tag, a little-endian u32 format version,
 row and column counts as little-endian u64, and the row-major float64
-payload; the declared counts must match the payload exactly. Files named
-``*.csv`` use a text alternative with a ``dim0,dim1,...`` header. Labels are
-one nonnegative integer per line and must cover a contiguous range starting
-at 0. Pipeline documents are one line of JSON whose floats are spelled in the
+payload; the declared counts must match the payload exactly. One reader,
+``LatentReader``, checks the header against the size on disk once, then reads
+any set of rows (one ``os.preadv`` per run of consecutive rows) and checks
+their finiteness; ``load_latents`` is that reader reading every row. So the
+pipeline stages read a binary cloud a class or a block at a time, and only
+``w2`` holds a whole one. Files named ``*.csv`` use a text alternative with a
+``dim0,dim1,...`` header and are always read whole. Labels are one
+nonnegative integer per line and must cover a contiguous range starting at 0.
+Pipeline documents are one line of JSON whose floats are spelled in the
 shortest form that round-trips binary64 exactly, so reruns are byte-identical.
 After its ``format`` tag and ``format_version`` (2), a result document is its
 dataclass's fields in declaration order (a ``TransportedResult`` keeps its
@@ -23,11 +28,13 @@ leaves either the old file or the new one.
 from __future__ import annotations
 
 import base64
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import struct
+import sys
 import types
 import typing
 from dataclasses import dataclass
@@ -44,7 +51,7 @@ from .errors import (
     QuantDistillError,
     TruncatedFile,
 )
-from .measures import _all_finite, as_label_array, as_point_array
+from .measures import _all_finite, _first_nonfinite_row, as_label_array, as_point_array
 
 MAGIC = b"OQDL"
 BINARY_VERSION = 1
@@ -129,32 +136,41 @@ def _load_latents_csv(path: Path) -> np.ndarray:
                 raise NonFiniteValue(
                     f"{path}: line {number} column {c} is not a number: {token.strip()!r}"
                 ) from None
-    if not _all_finite(rows):
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+    bad = _first_nonfinite_row(rows)
+    if bad is not None:
         raise NonFiniteValue(f"{path}: line {lines[bad + 1][0]} holds NaN or infinite entries")
     return rows
 
 
-def load_latents(path) -> np.ndarray:
-    """Read a point cloud saved by :func:`save_latents`.
+class LatentReader:
+    """A binary latent file, open, whose header was checked once against its size.
 
-    A binary file is read into one array: the header is checked against the
-    size on disk before the payload is read, and finiteness is checked on
-    that array without a temporary of its size.
+    ``shape`` is ``(rows, columns)`` as the header declares them.
+    ``read_rows`` reads any set of rows, one ``os.preadv`` per run of
+    consecutive rows, and checks that what it read is finite. Close the
+    reader, or use it as a context manager. Every read names its own
+    offset, so forked processes can read through the reader they inherit.
 
     Raises
     ------
-    EmptyFile, BadMagic, TruncatedFile, NonFiniteValue
-        For missing content, a wrong tag or version, counts that disagree
-        with the payload, and non-finite entries; the last names the first
-        bad row (0-based in a binary file, its file line in a CSV file).
+    EmptyFile, BadMagic, TruncatedFile
+        For a file with no content or no declared data, a wrong tag or
+        version, and a size that disagrees with the declared counts.
     """
-    path = Path(path)
-    if path.suffix == ".csv":
-        return _load_latents_csv(path)
-    with open(path, "rb") as handle:
-        header = handle.read(HEADER_SIZE)
-        size = os.fstat(handle.fileno()).st_size
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._file = open(self.path, "rb", buffering=0)
+        try:
+            self.shape = self._check_header()
+        except BaseException:
+            self._file.close()
+            raise
+
+    def _check_header(self) -> tuple[int, int]:
+        path = self.path
+        header = self._file.read(HEADER_SIZE)
+        size = os.fstat(self._file.fileno()).st_size
         if size == 0:
             raise EmptyFile(f"{path}: no content")
         if header[:4] != MAGIC:
@@ -171,16 +187,123 @@ def load_latents(path) -> np.ndarray:
             raise TruncatedFile(
                 f"{path}: {size} bytes on disk, header declares {expected}"
             )
-        arr = np.fromfile(handle, dtype="<f8", count=rows * cols)
-    if arr.shape[0] != rows * cols:
-        raise TruncatedFile(
-            f"{path}: payload ended after {arr.shape[0]} of {rows * cols} values"
-        )
-    arr = arr.astype(np.float64, copy=False).reshape(rows, cols)
-    if not _all_finite(arr):
-        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
-        raise NonFiniteValue(f"{path}: row {bad} (0-based) holds NaN or infinite entries")
-    return arr
+        return rows, cols
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def read_rows(self, rows, out=None) -> np.ndarray:
+        """Rows ``rows`` of the file, as an ``(m, columns)`` float64 array.
+
+        ``rows`` is a slice of step 1 or a sequence of 0-based row numbers
+        in any order. The rows are read into the first m rows of ``out``, a
+        C-contiguous float64 array with the file's column count, or into a
+        new array when ``out`` is None; the filled rows are returned.
+
+        Raises
+        ------
+        TruncatedFile
+            If the file ends before a row, for instance cut short since
+            it was opened.
+        NonFiniteValue
+            Naming the file and the 0-based file row of the first row read
+            that holds a NaN or an infinity.
+        """
+        n, d = self.shape
+        if isinstance(rows, slice):
+            rows = range(*rows.indices(n))
+            if rows.step != 1:
+                raise ValueError("a row slice must have step 1")
+            runs = [(0, len(rows))]
+        else:
+            rows = np.asarray(rows, dtype=np.intp)
+            if rows.ndim != 1:
+                raise ValueError(f"rows must be 1-d, got shape {rows.shape}")
+            if rows.size and (rows.min() < 0 or rows.max() >= n):
+                raise IndexError(f"{self.path}: rows must lie in 0..{n - 1}")
+            edges = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), rows.size]
+            runs = zip(edges[:-1], edges[1:])
+        m = len(rows)
+        if out is None:
+            out = np.empty((m, d))
+        elif not (
+            out.dtype == np.float64 and out.flags.c_contiguous
+            and out.ndim == 2 and out.shape[1] == d and out.shape[0] >= m
+        ):
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of at least {m} rows and {d} columns"
+            )
+        block = out[:m]
+        data = memoryview(block).cast("B")
+        row_bytes = d * 8
+        for i, j in runs:
+            if i < j:
+                self._read_into(data[i * row_bytes : j * row_bytes], int(rows[i]))
+        if sys.byteorder == "big":
+            block.byteswap(inplace=True)
+        bad = _first_nonfinite_row(block)
+        if bad is not None:
+            raise NonFiniteValue(
+                f"{self.path}: row {rows[bad]} (0-based) holds NaN or infinite entries"
+            )
+        return block
+
+    def _read_into(self, view: memoryview, row: int) -> None:
+        """Fill ``view`` from the payload starting at ``row``; a large read may come in parts."""
+        offset = HEADER_SIZE + row * self.shape[1] * 8
+        while view:
+            if hasattr(os, "preadv"):
+                got = os.preadv(self._file.fileno(), [view], offset)
+            else:  # no positioned reads (Windows): seek, then read
+                self._file.seek(offset)
+                got = self._file.readinto(view)
+            if got == 0:
+                row = (offset - HEADER_SIZE) // (self.shape[1] * 8)
+                raise TruncatedFile(
+                    f"{self.path}: payload ended before row {row} (0-based) "
+                    f"of {self.shape[0]}"
+                )
+            view, offset = view[got:], offset + got
+
+
+@contextlib.contextmanager
+def open_latents(path):
+    """A latent file ready for row reads, for the length of a ``with`` block.
+
+    A binary file is an open :class:`LatentReader`, so only the rows read
+    are ever held; a ``*.csv`` file is its whole array.
+    """
+    if Path(path).suffix == ".csv":
+        yield _load_latents_csv(Path(path))
+        return
+    with LatentReader(path) as reader:
+        yield reader
+
+
+def load_latents(path) -> np.ndarray:
+    """Read a point cloud saved by :func:`save_latents` into one array.
+
+    A binary file is :class:`LatentReader` reading every row, with the
+    header checked against the size on disk before the payload is read.
+
+    Raises
+    ------
+    EmptyFile, BadMagic, TruncatedFile, NonFiniteValue
+        For missing content, a wrong tag or version, counts that disagree
+        with the payload, and non-finite entries; the last names the first
+        bad row (0-based in a binary file, its file line in a CSV file).
+    """
+    path = Path(path)
+    if path.suffix == ".csv":
+        return _load_latents_csv(path)
+    with LatentReader(path) as reader:
+        return reader.read_rows(slice(None))
 
 
 def save_labels(path, labels) -> None:

@@ -8,8 +8,8 @@ centroid. Every point-to-centroid distance in the package comes from
 one exact kernel, ``squared_distances``, and every nearest-centroid decision
 from one Voronoi pass, which yields the assignment, the nearest squared
 distances, the cell masses and means, and the distortion together. Every
-softmax and log-sum-exp over logits, in the score, the density and the
-training loss, is one in-place NumPy routine, ``_softmax_rows``.
+softmax and log-sum-exp over logits, in the score and the training loss, is
+one in-place NumPy routine, ``_softmax_rows``.
 Nearest-centroid ties always resolve to the lowest centroid index so that
 every operation is deterministic.
 """
@@ -33,6 +33,16 @@ def _all_finite(arr: np.ndarray) -> bool:
     nothing of the array's size, unlike ``np.all(np.isfinite(arr))``.
     """
     return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
+def _first_nonfinite_row(arr: np.ndarray) -> int | None:
+    """Index of the first row of a 2-d array that holds a NaN or an infinity, or None.
+
+    An all-finite array costs ``_all_finite`` alone.
+    """
+    if _all_finite(arr):
+        return None
+    return int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
 
 
 def as_point_array(values, name: str = "points") -> np.ndarray:

@@ -3,6 +3,11 @@
 Each class is handled independently under a sub-seed derived from the master
 seed and the class label, so per-class results do not depend on how many
 other classes exist or the order they are processed in.
+
+A latent cloud is an ``(n, d)`` array or an open ``latentio.LatentReader``.
+``distill`` and ``diffuse`` gather one class at a time and ``train`` scores
+its eval cloud in row blocks, all through ``_gather``, so from a reader no
+stage holds more than a class or a block of the file.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from .latentio import (
     ClassQuantization,
     ClassTransport,
     DistillationResult,
+    LatentReader,
     TrainReport,
     TransportedResult,
 )
-from .measures import DiscreteMeasure, as_label_array
+from .measures import DiscreteMeasure, _first_nonfinite_row, as_label_array
 from .quantize import minibatch_kmeans
 from .risk import (
     LipschitzFunction,
@@ -59,10 +65,13 @@ def distill(
 ) -> DistillationResult:
     """Quantize each class of a labeled cloud into weighted centroids.
 
-    Each class runs ``minibatch_kmeans`` under its own sub-seed: D² seeding,
-    then ``n_iterations`` batches of ``batch_size`` draws of its points,
-    each assigned against the centroids frozen at the batch start. Records
-    centroids, raw win counts and the cell-mass weights ``counts / draws``.
+    ``points`` is an ``(n, d)`` array or an open ``LatentReader``; from a
+    reader each class reads only its own rows, when it is quantized, so the
+    whole cloud is never held. Each class runs ``minibatch_kmeans`` under
+    its own sub-seed: D² seeding, then ``n_iterations`` batches of
+    ``batch_size`` draws of its points, each assigned against the centroids
+    frozen at the batch start. Records centroids, raw win counts and the
+    cell-mass weights ``counts / draws``.
 
     Large classes are quantized on a pool of forked worker processes, as
     many as the usable CPUs hold at the BLAS thread count; the result is
@@ -76,12 +85,18 @@ def distill(
         If a centroid never wins a draw, so its cell mass would be zero;
         rerun with more iterations or fewer centroids per class. Either
         error names the lowest failing class, and this one the centroid.
+    NonFiniteValue, ValueError
+        If a class's rows hold a NaN or an infinity, naming the row (and
+        the file, from a reader). Every error comes from the lowest
+        failing class, whatever its kind, since a class's rows are read
+        and checked only when that class is quantized.
     QuantDistillError
         If a worker process dies, for instance killed by a signal.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2 or min(points.shape) < 1:
-        raise ValueError(f"points must be a nonempty (n, d) array, got shape {points.shape}")
+    if not isinstance(points, LatentReader):
+        points = np.ascontiguousarray(points, dtype=np.float64)
+        if points.ndim != 2 or min(points.shape) < 1:
+            raise ValueError(f"points must be a nonempty (n, d) array, got shape {points.shape}")
     if batch_size < 1 or n_iterations < 1:
         raise ValueError("batch_size and n_iterations must be positive")
     labels = as_label_array(labels, points.shape[0])
@@ -102,7 +117,7 @@ def _quantize_class(
     label, points, labels, per_class, seed, batch_size, n_iterations
 ) -> ClassQuantization:
     """One class of ``distill``: gather its points and quantize them under the class sub-seed."""
-    data = DiscreteMeasure.uniform(points[labels == label])
+    data = DiscreteMeasure.uniform(_gather(points, np.flatnonzero(labels == label)))
     try:
         result = minibatch_kmeans(
             data, per_class, batch_size, n_iterations, class_subseed(seed, label)
@@ -157,10 +172,11 @@ def _map_classes(points, labels, settings, workers: int) -> list[ClassQuantizati
     """``_quantize_class`` for every class, in label order.
 
     With one worker it is an in-order loop that holds one class copy at a
-    time. Otherwise a fork pool inherits the cloud, labels and settings, the
-    tasks are the labels, and each worker gathers its own class; results and
-    the first error come back in label order, a worker that dies raises
-    ``QuantDistillError``, and the pool is gone when this returns.
+    time. Otherwise a fork pool inherits ``points`` (a reader, or a caller's
+    array), labels and settings, the tasks are the labels, and each worker
+    gathers its own class; results and the first error come back in label
+    order, a worker that dies raises ``QuantDistillError``, and the pool is
+    gone when this returns.
     """
     classes = range(int(labels.max()) + 1)
     if workers <= 1:
@@ -183,7 +199,7 @@ def _map_classes(points, labels, settings, workers: int) -> list[ClassQuantizati
         pool.shutdown(cancel_futures=True)
 
 
-_worker_state = None  # (points, labels, *settings), set in each pool worker
+_worker_state = None  # (reader or array, labels, *settings), set in each pool worker
 
 
 def _start_class_worker(*state) -> None:
@@ -193,6 +209,23 @@ def _start_class_worker(*state) -> None:
 
 def _pooled_class(label: int) -> ClassQuantization:
     return _quantize_class(label, *_worker_state)
+
+
+def _gather(points, rows, out=None) -> np.ndarray:
+    """Rows ``rows`` (a slice, or row numbers) of a cloud, checked finite.
+
+    A ``LatentReader`` reads them into ``out`` (a new array when None) and
+    names its file and the row of a non-finite entry. An array is indexed,
+    a slice giving a view, and a non-finite row raises ``ValueError``.
+    """
+    if isinstance(points, LatentReader):
+        return points.read_rows(rows, out)
+    block = points[rows]
+    bad = _first_nonfinite_row(block)
+    if bad is not None:
+        row = np.arange(points.shape[0])[rows][bad]
+        raise ValueError(f"points row {row} (0-based) holds NaN or infinite entries")
+    return block
 
 
 def build_dataset(result: DistillationResult, weight_mode: str) -> WeightedDataset:
@@ -224,13 +257,15 @@ def diffuse(
     """Transport each class's distilled cloud back through the reverse flow.
 
     The reference law for a class is the uniform measure on that class's
-    latent points; the distilled weighted centroids are the quantized law at
-    the horizon. Each class receives a stability bound report comparing its
-    transported expectation of the distance-to-origin function (Lipschitz
-    constant 1) against the explicit ceiling.
+    latent points, given as an array or an open ``LatentReader`` from which
+    each class reads only its own rows. The distilled weighted centroids are
+    the quantized law at the horizon. Each class receives a stability bound
+    report comparing its transported expectation of the distance-to-origin
+    function (Lipschitz constant 1) against the explicit ceiling.
     """
-    ref_points = np.ascontiguousarray(ref_points, dtype=np.float64)
-    if ref_points.ndim != 2 or ref_points.shape[1] != result.dim:
+    if not isinstance(ref_points, LatentReader):
+        ref_points = np.ascontiguousarray(ref_points, dtype=np.float64)
+    if len(ref_points.shape) != 2 or ref_points.shape[1] != result.dim:
         raise DimensionError(
             f"reference points must have dimension {result.dim}"
         )
@@ -250,9 +285,10 @@ def diffuse(
 
 def _transport_class(cls, points, labels, sde, test_fn, n_mc, seed) -> ClassTransport:
     """One class of ``diffuse``: gather its reference points, carry its centroids back."""
-    class_points = points[labels == cls.label]
-    if class_points.shape[0] == 0:
+    rows = np.flatnonzero(labels == cls.label)
+    if rows.size == 0:
         raise ValueError(f"reference data has no points for class {cls.label}")
+    class_points = _gather(points, rows)
     ref = ReferenceLaw(DiscreteMeasure.uniform(class_points))
     quantized = DiscreteMeasure.from_unnormalized(cls.centroids, cls.weights)
     transported, report = transport_quantization(
@@ -301,6 +337,10 @@ def train(
     ``ValueError``. Both are checked before the first epoch: points of
     another dimension than the distillation's raise ``DimensionError``, and
     a label naming a class the distillation lacks raises ``ValueError``.
+    ``eval_points`` is an array or an open ``LatentReader``. Either way the
+    accuracy is scored over row blocks of about 4 MB (``_eval_accuracy``),
+    and each row's finiteness is checked once, as its block is read, so a
+    non-finite row is found after the epochs.
 
     Gradient descent never moves the first weight block out of the span of
     the distilled points, since its gradient is ``X.T @ dZ``. So the run
@@ -317,11 +357,12 @@ def train(
         raise ValueError("eval_points is required with eval_labels")
     dataset = build_dataset(result, weight_mode)
     if eval_points is not None:
-        eval_points = np.ascontiguousarray(eval_points, dtype=np.float64)
-        if eval_points.ndim != 2 or eval_points.shape[1] != dataset.dim:
+        if not isinstance(eval_points, LatentReader):
+            eval_points = np.ascontiguousarray(eval_points, dtype=np.float64)
+        if len(eval_points.shape) != 2 or eval_points.shape[1] != dataset.dim:
             raise DimensionError(
                 f"eval points must have shape (n, {dataset.dim}) like the distillation, "
-                f"got {eval_points.shape}"
+                f"got {tuple(eval_points.shape)}"
             )
         eval_labels = as_label_array(eval_labels, eval_points.shape[0])
         if eval_labels.max() >= dataset.n_classes:
@@ -341,7 +382,7 @@ def train(
     train_accuracy = classification_accuracy(classifier, dataset.points, dataset.labels, theta)
     eval_accuracy = None
     if eval_points is not None:
-        eval_accuracy = classification_accuracy(classifier, eval_points, eval_labels, theta)
+        eval_accuracy = _eval_accuracy(classifier, theta, eval_points, eval_labels)
     report = TrainReport(
         seed=int(seed),
         model=model,
@@ -354,6 +395,29 @@ def train(
         theta=theta,
     )
     return classifier, report
+
+
+# The bytes of eval rows ``train`` scores at a time: 128 rows at d = 4096.
+_EVAL_BLOCK_BYTES = 1 << 22
+
+
+def _eval_accuracy(classifier: TinyClassifier, theta, points, labels) -> float:
+    """``classification_accuracy`` on a cloud given as an array or a ``LatentReader``.
+
+    Row blocks of about ``_EVAL_BLOCK_BYTES`` are gathered in order, from a
+    reader into one reused buffer, and scored by one forward pass each; a
+    block's rows are checked finite as they are gathered and not again. The
+    result is ``correct / n``, the float ``np.mean(predicted == labels)`` gives.
+    """
+    n, d = points.shape
+    step = max(1, _EVAL_BLOCK_BYTES // (8 * d))
+    buffer = np.empty((min(n, step), d)) if isinstance(points, LatentReader) else None
+    correct = 0
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        logits = classifier._forward(_gather(points, rows, buffer), theta)[1]
+        correct += int(np.count_nonzero(np.argmax(logits, axis=1) == labels[rows]))
+    return correct / n
 
 
 def _train_in_span(

@@ -8,13 +8,14 @@ lines themselves appear in the captured output on failure.
 
 import ast
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import quantdistill
 from quantdistill import cli, quantize, transport, verification
-from quantdistill.measures import DiscreteMeasure
+from quantdistill.measures import DiscreteMeasure, quadratic_distortion
 
 ACCEPTANCE_SEED = 0
 
@@ -119,6 +120,28 @@ def test_explicit_constant_quadrature_fails_for_a_closed_form_off_by_one_ppm(mon
         verification, "explicit_constant", lambda sde, r: exact(sde, r) * (1 + 1e-6)
     )
     [record] = verification.check_explicit_constant_quadrature(ACCEPTANCE_SEED)
+    assert record.passed is False, record.line()
+
+
+def test_distortion_gradient_fd_fails_for_a_gradient_off_by_one_percent(monkeypatch):
+    exact = verification.distortion_gradient
+    monkeypatch.setattr(
+        verification, "distortion_gradient", lambda mu, grid: 1.01 * exact(mu, grid)
+    )
+    [record] = verification.check_distortion_gradient_fd(ACCEPTANCE_SEED)
+    assert record.passed is False, record.line()
+
+
+def test_interval_quantizer_error_fails_when_lloyd_never_refines(monkeypatch):
+    # The best start, scored as drawn: D² seeds are not the optimal grid.
+    def unrefined(mu, starts):
+        return min(
+            (SimpleNamespace(distortion=quadratic_distortion(mu, start)) for start in starts),
+            key=lambda fit: fit.distortion,
+        )
+
+    monkeypatch.setattr(verification, "best_lloyd", unrefined)
+    [record] = verification.check_interval_quantizer_error(ACCEPTANCE_SEED)
     assert record.passed is False, record.line()
 
 

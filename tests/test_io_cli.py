@@ -777,6 +777,32 @@ def test_cli_distill_train_round_trip(tmp_path, capsys):
     assert report.eval_accuracy is not None
 
 
+def test_cli_stages_read_a_csv_cloud_whole_and_write_what_the_binary_gives(tmp_path, capsys):
+    latents, labels_path = write_demo_files(tmp_path)
+    csv = tmp_path / "latents.csv"
+    save_latents(csv, load_latents(latents))
+    written = []
+    for cloud in (latents, csv):
+        out = tmp_path / f"{cloud.suffix[1:]}"
+        out.mkdir()
+        assert cli.main([
+            "distill", "--latents", str(cloud), "--labels", str(labels_path),
+            "--ipc", "3", "--out", str(out / "distilled.json"),
+        ]) == 0
+        assert cli.main([
+            "diffuse", "--distilled", str(out / "distilled.json"), "--latents", str(cloud),
+            "--labels", str(labels_path), "--steps", "10", "--mc", "20",
+            "--out", str(out / "transported.json"),
+        ]) == 0
+        assert cli.main([
+            "train", "--distilled", str(out / "distilled.json"), "--epochs", "20",
+            "--eval-latents", str(cloud), "--eval-labels", str(labels_path),
+            "--out", str(out / "report.json"),
+        ]) == 0
+        written.append([(out / name).read_bytes() for name in sorted(os.listdir(out))])
+    assert written[0] == written[1]
+
+
 def test_cli_diffuse_writes_reports(tmp_path, capsys):
     latents, labels_path = write_demo_files(tmp_path)
     distilled = tmp_path / "distilled.json"
