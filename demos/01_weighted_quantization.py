@@ -10,11 +10,12 @@ import numpy as np
 from quantdistill import (
     DiscreteMeasure,
     GaussianMixtureSampler,
-    StepSchedule,
     clvq,
     empirical_distortion_trace,
+    init_grid,
     minibatch_kmeans,
     quadratic_distortion,
+    squared_distances,
 )
 
 
@@ -24,13 +25,7 @@ def main():
     )
     print("source: Gaussian mixture, 70% near -3 and 30% near +3")
 
-    result = clvq(
-        sampler,
-        n_centroids=2,
-        schedule=StepSchedule.harmonic(),
-        n_steps=100000,
-        seed=0,
-    )
+    result = clvq(sampler, n_centroids=2, n_steps=100000, seed=0)
     order = np.argsort(result.grid.centroids[:, 0])
     centroids = result.grid.centroids[order, 0]
     weights = result.weights[order]
@@ -43,13 +38,21 @@ def main():
     print(f"running distortion average: {trace[-1]:.6f}")
     print(f"distortion on fresh samples: {fresh_distortion:.6f}")
 
-    # Mini-batch k-means at batch size 1 takes one count-reciprocal step per
-    # batch, so a shared seed gives the online run's grid bit for bit. Larger
-    # batches assign against the grid frozen at each batch start.
+    # D4M's online learner moves each winner by the reciprocal of its visit
+    # count. Mini-batch k-means at batch size 1 is that learner: written out
+    # sample by sample from the same seed, it gives the same grid bit for
+    # bit. Larger batches assign against the grid frozen at each batch start.
     data = DiscreteMeasure.uniform(sampler.draw(np.random.default_rng(2), 2000))
-    online = clvq(data, 2, StepSchedule.count_reciprocal(), 1000, seed=3)
-    single = minibatch_kmeans(data, 2, batch_size=1, n_iterations=1000, seed=3)
-    same = bool(np.array_equal(online.grid.centroids, single.grid.centroids))
+    online = minibatch_kmeans(data, 2, batch_size=1, n_iterations=1000, seed=3)
+    rng = np.random.default_rng(3)
+    grid = init_grid(DiscreteMeasure.uniform(data.draw(rng, 512)), 2, rng).centroids.copy()
+    visits = np.zeros(2)
+    for s in data.draw(rng, 1000):
+        win = int(np.argmin(squared_distances(s[None, :], grid)[0]))
+        visits[win] += 1.0
+        g = 1.0 / visits[win]
+        grid[win] = (1.0 - g) * grid[win] + g * s
+    same = bool(np.array_equal(online.grid.centroids, grid))
     print(f"online run equals mini-batch k-means bit for bit: {same}")
     batch = minibatch_kmeans(data, 2, batch_size=100, n_iterations=10, seed=3)
     print(

@@ -20,10 +20,6 @@ class InsufficientPoints(QuantDistillError):
     """Fewer distinct input points than requested centroids."""
 
 
-class InvalidSchedule(QuantDistillError):
-    """A step-size schedule emits a step outside (0, 1] or has bad parameters."""
-
-
 class EmptyCluster(QuantDistillError):
     """A centroid received no mass where positive mass is required."""
 

@@ -1,20 +1,19 @@
 """Weighted vector quantization: online competitive learning, mini-batch
 k-means and Lloyd refinement.
 
-The online learner processes one sample per step: the nearest centroid (the
-winner) moves toward the sample by the current step size and a visit counter
-records raw win totals. Under the harmonic schedule, the fixed step
-``1 / (10 + n)`` at step n (Pagès' CLVQ rule at a = 1, b = 10), a companion
-weight vector tracks each centroid's share of wins through the same
-averaging; under the count-reciprocal schedule the weights are the win
-shares ``counts / n_steps``.
+The online learner, ``clvq``, is Pagès' CLVQ: it processes one sample per
+step, the nearest centroid (the winner) moves toward the sample by the fixed
+step ``1 / (10 + n)`` at step n (the a/(b+n) rule at a = 1, b = 10), and a
+companion weight vector tracks each centroid's share of wins through the same
+averaging, next to raw win totals.
 
 Mini-batch k-means (Sculley 2010) takes the same seeding and samples a batch
 at a time: one distance pass assigns the batch against the centroids frozen
 at its start, and one one-hot matmul sums each cell, so each centroid makes
-all its count-reciprocal steps of the batch at once. At batch size 1 it is
-the online count-reciprocal learner. It is what ``pipeline.distill`` runs on
-each class. Both learners seed their starting grid by D² sampling
+all its count-reciprocal steps (``1 / visits`` after each win) of the batch
+at once. At batch size 1 it is the online count-reciprocal learner, whose
+weights are the win shares. It is what ``pipeline.distill`` runs on each
+class. Both learners seed their starting grid by D² sampling
 (``init_grid``) from their own draws.
 
 Lloyd refinement is the batch counterpart: each centroid jumps to the weighted
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientPoints, InvalidSchedule, QuantDistillError
+from .errors import InsufficientPoints, QuantDistillError
 from .measures import (
     DiscreteMeasure,
     QuantizationGrid,
@@ -52,40 +51,6 @@ def as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step-size rule for the online learner.
-
-    ``harmonic`` emits ``1 / (10 + i)`` at step ``i`` (counting from 1): the
-    a/(b+n) rule of Pagès' CLVQ at a = 1, b = 10, so the first and largest
-    step is 1/11. ``count_reciprocal`` emits the reciprocal of the winner's
-    visit count after incrementing it, so a centroid's first win moves it
-    exactly onto the sample.
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("harmonic", "count_reciprocal"):
-            raise InvalidSchedule(f"unknown schedule kind {self.kind!r}")
-
-    @classmethod
-    def harmonic(cls) -> "StepSchedule":
-        return cls("harmonic")
-
-    @classmethod
-    def count_reciprocal(cls) -> "StepSchedule":
-        return cls("count_reciprocal")
-
-    def step(self, i: int) -> float:
-        """Step size for 0-based step index ``i`` (harmonic only)."""
-        if self.kind != "harmonic":
-            raise InvalidSchedule(
-                "count_reciprocal steps depend on visit counts, not the step index"
-            )
-        return 1.0 / (10.0 + i + 1.0)
 
 
 class GaussianMixtureSampler:
@@ -153,9 +118,9 @@ class WeightedQuantization:
         Raw win totals per centroid; they sum to the number of samples.
     weights : ndarray, shape (K,)
         Voronoi cell-mass estimates in the probability simplex: the running
-        companion average under the harmonic schedule, ``counts / n_steps``
-        under the count-reciprocal one (its per-centroid steps do not
-        average the wins).
+        companion average in ``clvq``, the win shares ``counts / n_steps``
+        in ``minibatch_kmeans`` (its per-centroid steps do not average the
+        wins).
     winner_sq_dists : ndarray
         Per-sample squared distance from the sample to its winner, measured
         before the winner moved: against the grid at the sample's own step
@@ -246,26 +211,23 @@ def _seed_and_stream(sampler, n_centroids, n_steps, rng):
     return init, sampler.draw(rng, n_steps), np.arange(n_steps)
 
 
-def _competitive_loop(rows, order, x0, schedule: StepSchedule):
+def _competitive_loop(rows, order, x0):
     x = x0.copy()
     k = x.shape[0]
     w = np.full(k, 1.0 / k)
     v = np.zeros(k)
-    n = order.shape[0]
-    trace = np.empty(n)
-    harmonic = schedule.kind == "harmonic"
-    for i in range(n):
+    trace = np.empty(order.shape[0])
+    for i in range(order.shape[0]):
         s = rows[order[i]]
         d2 = squared_distances(s[None, :], x)[0]
         win = int(np.argmin(d2))
         trace[i] = d2[win]
         v[win] += 1.0
-        g = schedule.step(i) if harmonic else 1.0 / v[win]
+        g = 1.0 / (10.0 + i + 1.0)
         x[win] = (1.0 - g) * x[win] + g * s
-        if harmonic:
-            w *= 1.0 - g
-            w[win] += g
-    return x, v, (w if harmonic else v / n), trace
+        w *= 1.0 - g
+        w[win] += g
+    return x, v, w, trace
 
 
 def _minibatch_loop(rows, order, x0, batch_size: int):
@@ -286,23 +248,18 @@ def _minibatch_loop(rows, order, x0, batch_size: int):
     return x, v, trace
 
 
-def clvq(
-    sampler,
-    n_centroids: int,
-    schedule: StepSchedule,
-    n_steps: int,
-    seed,
-) -> WeightedQuantization:
-    """Online competitive learning with cell-mass weights.
+def clvq(sampler, n_centroids: int, n_steps: int, seed) -> WeightedQuantization:
+    """Online competitive learning with companion cell-mass weights (CLVQ).
 
     ``init_grid`` seeds the starting grid from a uniform measure on
     ``max(512, 32 K)`` draws of the sampler (a measure too), from the same
-    generator. Each step then draws one sample, finds the nearest centroid
-    (ties to the lowest index), records that centroid's squared distance,
-    then moves only the winner toward the sample by the schedule's step, so
-    centroids never leave the convex hull of the initial grid and the
-    samples. Harmonic steps refresh the companion weights by the same convex
-    averaging; count-reciprocal runs report ``counts / n_steps`` instead.
+    generator. Each step ``n`` (counting from 1) then draws one sample, finds
+    the nearest centroid (ties to the lowest index), records that centroid's
+    squared distance, then moves only the winner toward the sample by the
+    step ``1 / (10 + n)``, so centroids never leave the convex hull of the
+    initial grid and the samples. The companion weights start uniform and
+    take the same convex averaging toward the winner's indicator, so they
+    estimate the cell masses.
 
     A ``DiscreteMeasure`` streams its samples: the run draws ``n_steps``
     atom indices at once and reads one atom per step, so its memory does not
@@ -315,23 +272,15 @@ def clvq(
     sampler : object with ``dim`` and ``draw(rng, n)``
         Sample source, such as a ``DiscreteMeasure``.
     n_centroids : int
-    schedule : StepSchedule
     n_steps : int
         Number of samples presented, at least 1.
     seed : int, SeedSequence, or Generator
         Drives the seeding and the sample stream.
-
-    Raises
-    ------
-    InvalidSchedule
-        If ``schedule`` is not a ``StepSchedule``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    if not isinstance(schedule, StepSchedule):
-        raise InvalidSchedule("schedule must be a StepSchedule")
     init, rows, order = _seed_and_stream(sampler, n_centroids, n_steps, as_generator(seed))
-    x, v, w, trace = _competitive_loop(rows, order, init.centroids, schedule)
+    x, v, w, trace = _competitive_loop(rows, order, init.centroids)
     return WeightedQuantization(QuantizationGrid(x), v, w, trace)
 
 
@@ -351,10 +300,11 @@ def minibatch_kmeans(
     ``n_j > 0`` samples of the batch adds them to its count ``v_j`` and moves
     to ``(1 - g) x_j + g * mean_j`` with ``g = n_j / v_j``, where ``mean_j``
     is the mean of its won samples: the result of Sculley's per-sample
-    count-reciprocal steps toward those samples. At batch size 1 this is the
-    online count-reciprocal ``clvq`` run, bit for bit. ``counts`` are the
-    ``v_j``, the weights ``counts / n_steps``, and ``winner_sq_dists`` holds
-    one entry per sample, measured against its batch's start grid.
+    count-reciprocal steps (``1 / v_j`` after each win) toward those
+    samples. At batch size 1 this is the online count-reciprocal learner,
+    one sample per step, which D4M runs. ``counts`` are the ``v_j``, the
+    weights the win shares ``counts / n_steps``, and ``winner_sq_dists``
+    holds one entry per sample, measured against its batch's start grid.
     """
     if batch_size < 1 or n_iterations < 1:
         raise ValueError("batch_size and n_iterations must be positive")

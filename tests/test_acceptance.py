@@ -7,6 +7,7 @@ lines themselves appear in the captured output on failure.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -58,6 +59,37 @@ def test_online_minibatch_equivalence_fails_when_counts_restart_each_batch(monke
     monkeypatch.setattr(quantize, "_minibatch_loop", forgetful)
     [record] = verification.check_online_minibatch_equivalence(ACCEPTANCE_SEED)
     assert record.passed is False, record.line()
+
+
+def _uniform_weights(result):
+    k = result.grid.n_centroids
+    return dataclasses.replace(result, weights=np.full(k, 1.0 / k))
+
+
+def _doubled_winner_distances(result):
+    return dataclasses.replace(result, winner_sq_dists=2.0 * result.winner_sq_dists)
+
+
+@pytest.mark.parametrize(
+    "fault, failed",
+    [
+        (lambda result: result, []),
+        (_uniform_weights, ["companion_weights_track_mass"]),
+        (_doubled_winner_distances, ["distortion_trace_matches_fresh"]),
+    ],
+    ids=["no_fault", "uniform_weights", "doubled_winner_distances"],
+)
+def test_companion_weight_convergence_fails_only_the_faulted_record(monkeypatch, fault, failed):
+    # The real learner for 2000 steps instead of 1e5, so each run is cheap;
+    # unfaulted, both records still pass.
+    exact = verification.clvq
+    monkeypatch.setattr(
+        verification,
+        "clvq",
+        lambda sampler, n_centroids, n_steps, seed: fault(exact(sampler, n_centroids, 2000, seed)),
+    )
+    records = verification.check_companion_weight_convergence(ACCEPTANCE_SEED)
+    assert [r.claim for r in records if not r.passed] == failed, [r.line() for r in records]
 
 
 def test_pipeline_determinism_fails_for_a_subseed_keyed_on_the_worker(monkeypatch):
@@ -237,3 +269,20 @@ def test_package_does_not_import_scipy_special():
         if name == "scipy.special" or name.startswith("scipy.special.")
     ]
     assert not found, found
+
+
+def test_public_api_lists_exactly_what_the_package_imports():
+    # A half-removed export fails here: a name listed in ``__all__`` but no
+    # longer imported, listed twice, or imported but never listed.
+    names = quantdistill.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(quantdistill, name)] == []
+    init = ast.parse(Path(quantdistill.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert sorted(imported - set(names)) == []

@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from quantdistill import measures, pipeline, quantize
-from quantdistill.errors import (
-    EmptyCluster,
-    InsufficientPoints,
-    InvalidSchedule,
-    QuantDistillError,
-)
+from quantdistill.errors import EmptyCluster, InsufficientPoints, QuantDistillError
 from quantdistill.measures import (
     DiscreteMeasure,
     QuantizationGrid,
@@ -24,7 +19,6 @@ from quantdistill.measures import (
 from quantdistill.pipeline import class_subseed, demo_dataset, distill
 from quantdistill.quantize import (
     GaussianMixtureSampler,
-    StepSchedule,
     UniformCubeSampler,
     WeightedQuantization,
     best_lloyd,
@@ -34,25 +28,6 @@ from quantdistill.quantize import (
     lloyd,
     minibatch_kmeans,
 )
-
-
-def test_harmonic_schedule_values():
-    # Pagès' a / (b + n) rule at a = 1, b = 10, the same bits for every step.
-    schedule = StepSchedule.harmonic()
-    assert schedule.step(0) == 1.0 / 11.0
-    assert schedule.step(4) == 1.0 / 15.0
-    assert all(schedule.step(i) == 1.0 / (10.0 + i + 1.0) for i in range(1000))
-
-
-def test_count_reciprocal_has_no_indexed_step():
-    schedule = StepSchedule.count_reciprocal()
-    with pytest.raises(InvalidSchedule):
-        schedule.step(0)
-
-
-def test_unknown_schedule_kind():
-    with pytest.raises(InvalidSchedule):
-        StepSchedule("geometric")
 
 
 def test_gaussian_mixture_sampler_moments():
@@ -137,13 +112,13 @@ def test_init_grid_insufficient_distinct_points():
         init_grid(mu, 2, 0)
 
 
-def test_clvq_single_centroid_count_schedule_is_exact_mean():
+def test_minibatch_kmeans_single_centroid_at_batch_size_one_is_exact_mean():
     # With K=1 every sample wins and 1/v steps reproduce the running mean.
-    sampler = UniformCubeSampler(2)
-    result = clvq(sampler, 1, StepSchedule.count_reciprocal(), 500, 8)
+    data = DiscreteMeasure.uniform(np.random.default_rng(7).random((300, 2)))
+    result = minibatch_kmeans(data, 1, 1, 500, 8)
     rng = np.random.default_rng(8)
-    init = init_grid(DiscreteMeasure.uniform(sampler.draw(rng, 512)), 1, rng)
-    samples = sampler.draw(rng, 500)
+    init = init_grid(DiscreteMeasure.uniform(data.draw(rng, 512)), 1, rng)
+    samples = data.draw(rng, 500)
     np.testing.assert_allclose(
         result.grid.centroids[0], samples.mean(axis=0), rtol=1e-12
     )
@@ -157,10 +132,10 @@ def test_clvq_single_centroid_count_schedule_is_exact_mean():
 def test_clvq_seeds_from_a_pool_of_its_own_draws():
     # A measure is pooled like any sampler: 512 draws, not its 600 atoms.
     mu = DiscreteMeasure.uniform(np.random.default_rng(17).normal(size=(600, 2)))
-    seeded = clvq(mu, 3, StepSchedule.harmonic(), 200, 18)
+    seeded = clvq(mu, 3, 200, 18)
     rng = np.random.default_rng(18)
     init = init_grid(DiscreteMeasure.uniform(mu.draw(rng, 512)), 3, rng)
-    x, v, w, trace = _reference_loop(mu.draw(rng, 200), init.centroids, StepSchedule.harmonic())
+    x, v, w, trace = _reference_loop(mu.draw(rng, 200), init.centroids)
     given = {"grid": x, "counts": v, "weights": w, "winner_sq_dists": trace}
     for field in dataclasses.fields(seeded):
         ours = getattr(seeded, field.name)
@@ -171,7 +146,7 @@ def test_clvq_seeds_from_a_pool_of_its_own_draws():
 
 def test_clvq_counts_sum_to_steps_and_weights_to_one():
     sampler = UniformCubeSampler(1)
-    result = clvq(sampler, 4, StepSchedule.harmonic(), 3000, 9)
+    result = clvq(sampler, 4, 3000, 9)
     assert result.counts.sum() == 3000.0
     np.testing.assert_allclose(result.weights.sum(), 1.0, atol=1e-9)
 
@@ -179,22 +154,19 @@ def test_clvq_counts_sum_to_steps_and_weights_to_one():
 def test_clvq_rejects_bad_arguments():
     sampler = UniformCubeSampler(1)
     with pytest.raises(ValueError):
-        clvq(sampler, 2, StepSchedule.harmonic(), 0, 0)
-    with pytest.raises(InvalidSchedule):
-        clvq(sampler, 2, "harmonic", 10, 0)
+        clvq(sampler, 2, 0, 0)
 
 
 def test_minibatch_kmeans_matches_online_run():
     # At batch size 1 each batch is one online count-reciprocal step.
     rng = np.random.default_rng(10)
     data = DiscreteMeasure.uniform(rng.normal(size=(200, 2)))
-    online = clvq(data, 3, StepSchedule.count_reciprocal(), 600, 11)
     batch = minibatch_kmeans(data, 3, 1, 600, 11)
-    np.testing.assert_array_equal(online.grid.centroids, batch.grid.centroids)
-    np.testing.assert_array_equal(online.counts, batch.counts)
-    np.testing.assert_array_equal(online.weights, batch.weights)
-    np.testing.assert_array_equal(online.winner_sq_dists, batch.winner_sq_dists)
-    np.testing.assert_allclose(batch.weights, batch.counts / 600.0)
+    centres, counts, trace = _sculley_reference(data, 3, 1, 600, 11)
+    np.testing.assert_array_equal(batch.grid.centroids, centres)
+    np.testing.assert_array_equal(batch.counts, counts)
+    np.testing.assert_array_equal(batch.weights, counts / 600.0)
+    np.testing.assert_allclose(batch.winner_sq_dists, trace, rtol=1e-12)
 
 
 def _sculley_reference(data, k, batch_size, n_iterations, seed):
@@ -202,37 +174,42 @@ def _sculley_reference(data, k, batch_size, n_iterations, seed):
 
     Seeds and draws like ``clvq``; each batch is assigned against the grid
     at its start, then every sample moves its centre by one
-    count-reciprocal step.
+    count-reciprocal step. At batch size 1 it is the online
+    count-reciprocal learner. Returns the centres, the counts and each
+    sample's squared distance to its centre before the move.
     """
     rng = np.random.default_rng(seed)
     pool = DiscreteMeasure.uniform(data.draw(rng, max(512, 32 * k)))
     centres = [list(map(float, c)) for c in init_grid(pool, k, rng).centroids]
     order = data.draw_indices(rng, batch_size * n_iterations)
     samples = [list(map(float, data.atoms[i])) for i in order]
-    counts = [0] * k
+    counts, trace = [0] * k, []
+
+    def sq_dist(s, j):
+        return sum((a - b) ** 2 for a, b in zip(s, centres[j]))
+
     for start in range(0, len(samples), batch_size):
         batch = samples[start:start + batch_size]
-        nearest = [
-            min(range(k), key=lambda j: sum((a - b) ** 2 for a, b in zip(s, centres[j])))
-            for s in batch
-        ]
+        nearest = [min(range(k), key=lambda j: sq_dist(s, j)) for s in batch]
+        trace += [sq_dist(s, j) for s, j in zip(batch, nearest)]
         for s, j in zip(batch, nearest):
             counts[j] += 1
             eta = 1.0 / counts[j]
             centres[j] = [(1.0 - eta) * c + eta * a for c, a in zip(centres[j], s)]
-    return np.array(centres), np.array(counts, dtype=np.float64)
+    return np.array(centres), np.array(counts, dtype=np.float64), np.array(trace)
 
 
 def test_minibatch_kmeans_matches_plain_sculley_reference():
     rng = np.random.default_rng(21)
     data = DiscreteMeasure.uniform(rng.normal(size=(150, 3)) + rng.integers(0, 3, (150, 1)))
     batch = minibatch_kmeans(data, 4, 16, 12, 5)
-    centres, counts = _sculley_reference(data, 4, 16, 12, 5)
+    centres, counts, trace = _sculley_reference(data, 4, 16, 12, 5)
     np.testing.assert_array_equal(batch.counts, counts)
     np.testing.assert_allclose(batch.grid.centroids, centres, rtol=1e-12)
     np.testing.assert_array_equal(batch.weights, counts / 192.0)
-    assert batch.winner_sq_dists.shape == (192,)
-    online = clvq(data, 4, StepSchedule.count_reciprocal(), 192, 5)
+    np.testing.assert_allclose(batch.winner_sq_dists, trace, rtol=1e-12)
+    # Batches of 16 are not the online run: the batch-size-1 grid differs.
+    online = minibatch_kmeans(data, 4, 1, 192, 5)
     assert not np.array_equal(batch.grid.centroids, online.grid.centroids)
 
 
@@ -240,7 +217,8 @@ def test_count_reciprocal_weights_are_win_shares():
     # Per-centroid steps do not average the wins, so the reported weights
     # are the win shares, which recover a 70/30 split.
     sampler = GaussianMixtureSampler([[-3.0], [3.0]], [0.01, 0.01], [0.7, 0.3])
-    result = clvq(sampler, 2, StepSchedule.count_reciprocal(), 4000, 0)
+    data = DiscreteMeasure.uniform(sampler.draw(np.random.default_rng(1), 4000))
+    result = minibatch_kmeans(data, 2, 1, 4000, 0)
     np.testing.assert_array_equal(result.weights, result.counts / 4000)
     assert abs(result.weights[np.argmin(result.grid.centroids[:, 0])] - 0.7) < 0.03
 
@@ -441,14 +419,14 @@ def test_clvq_finds_each_winner_through_the_distance_kernel(monkeypatch):
     monkeypatch.setattr(quantize, "squared_distances", counted)
     rng = np.random.default_rng(16)
     mu = DiscreteMeasure.uniform(rng.normal(size=(40, 3)))
-    clvq(mu, 4, StepSchedule.harmonic(), 25, 16)
+    clvq(mu, 4, 25, 16)
     assert shapes == [((512, 3), (1, 3))] * 3 + [((1, 3), (4, 3))] * 25
 
 
 def test_clvq_winner_update_is_convex_combination():
     # A single harmonic step, of size 1/11, moves only the winner.
     mu = DiscreteMeasure.uniform(np.arange(6.0)[:, None])
-    result = clvq(mu, 2, StepSchedule.harmonic(), 1, 14)
+    result = clvq(mu, 2, 1, 14)
     rng = np.random.default_rng(14)
     init = init_grid(DiscreteMeasure.uniform(mu.draw(rng, 512)), 2, rng)
     sample = mu.draw(rng, 1)[0]
@@ -460,54 +438,77 @@ def test_clvq_winner_update_is_convex_combination():
     assert not np.array_equal(expected, init.centroids)
 
 
-def _reference_loop(samples, x0, schedule):
-    # The online loop fed a materialized sample array, step by step.
+def _reference_loop(samples, x0):
+    # The harmonic online loop fed a materialized sample array, step by step.
     x = x0.copy()
     k = x.shape[0]
     w, v, trace = np.full(k, 1.0 / k), np.zeros(k), []
-    harmonic = schedule.kind == "harmonic"
     for i, s in enumerate(samples):
         d2 = squared_distances(s[None, :], x)[0]
         win = int(np.argmin(d2))
         trace.append(d2[win])
         v[win] += 1.0
-        g = schedule.step(i) if harmonic else 1.0 / v[win]
+        g = 1.0 / (10.0 + i + 1.0)
         x[win] = (1.0 - g) * x[win] + g * s
-        if harmonic:
-            w *= 1.0 - g
-            w[win] += g
-    return x, v, (w if harmonic else v / len(samples)), np.array(trace)
+        w *= 1.0 - g
+        w[win] += g
+    return x, v, w, np.array(trace)
 
 
-@pytest.mark.parametrize(
-    "schedule", [StepSchedule.count_reciprocal(), StepSchedule.harmonic()]
-)
-def test_clvq_streamed_from_a_measure_equals_a_loop_over_its_draws(schedule):
+def test_clvq_streamed_from_a_measure_equals_a_loop_over_its_draws():
     rng = np.random.default_rng(41)
     mu = DiscreteMeasure.from_unnormalized(rng.normal(size=(60, 3)), rng.random(60))
-    result = clvq(mu, 4, schedule, 500, 42)
+    result = clvq(mu, 4, 500, 42)
     # The same generator state: the seeding pool, D² seeding, then one draw
     # of every sample.
     rng = np.random.default_rng(42)
     pool = DiscreteMeasure.uniform(mu.draw(rng, 512))
     init = init_grid(pool, 4, rng)
-    x, v, w, trace = _reference_loop(mu.draw(rng, 500), init.centroids, schedule)
+    x, v, w, trace = _reference_loop(mu.draw(rng, 500), init.centroids)
     np.testing.assert_array_equal(result.grid.centroids, x)
     np.testing.assert_array_equal(result.counts, v)
     np.testing.assert_array_equal(result.weights, w)
     np.testing.assert_array_equal(result.winner_sq_dists, trace)
 
 
+def test_minibatch_kmeans_streamed_from_a_measure_equals_a_loop_over_its_draws():
+    # At batch size 1 the count-reciprocal learner, streamed from a weighted
+    # measure, matches a step-by-step loop over the same materialized draws.
+    rng = np.random.default_rng(41)
+    mu = DiscreteMeasure.from_unnormalized(rng.normal(size=(60, 3)), rng.random(60))
+    result = minibatch_kmeans(mu, 4, 1, 500, 42)
+    rng = np.random.default_rng(42)
+    pool = DiscreteMeasure.uniform(mu.draw(rng, 512))
+    x = init_grid(pool, 4, rng).centroids.copy()
+    v, trace = np.zeros(4), []
+    for s in mu.draw(rng, 500):
+        d2 = squared_distances(s[None, :], x)[0]
+        win = int(np.argmin(d2))
+        trace.append(d2[win])
+        v[win] += 1.0
+        g = 1.0 / v[win]
+        x[win] = (1.0 - g) * x[win] + g * s
+    np.testing.assert_array_equal(result.grid.centroids, x)
+    np.testing.assert_array_equal(result.counts, v)
+    np.testing.assert_array_equal(result.weights, v / 500.0)
+    np.testing.assert_array_equal(result.winner_sq_dists, np.array(trace))
+
+
 def test_clvq_allocation_peak_does_not_grow_with_the_step_count():
+    # Both online learners, harmonic and count-reciprocal, stream a measure.
     d = 256
     mu = DiscreteMeasure.uniform(np.random.default_rng(43).normal(size=(300, d)))
 
-    def peak(n_steps):
+    def peak(learner, n_steps):
         tracemalloc.start()
         try:
-            clvq(mu, 4, StepSchedule.count_reciprocal(), n_steps, 44)
+            learner(n_steps)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(4000) - peak(200) < 4000 * d * 8 / 10
+    for learner in (
+        lambda n_steps: clvq(mu, 4, n_steps, 44),
+        lambda n_steps: minibatch_kmeans(mu, 4, 1, n_steps, 44),
+    ):
+        assert peak(learner, 4000) - peak(learner, 200) < 4000 * d * 8 / 10
