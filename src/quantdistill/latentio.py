@@ -312,19 +312,46 @@ def save_labels(path, labels) -> None:
     _write_atomically(path, ("\n".join(str(int(v)) for v in labels) + "\n").encode())
 
 
+def _digit_lines(data: bytes) -> np.ndarray | None:
+    """The integers of lines of ASCII digits, parsed by NumPy, or None.
+
+    ``\\n`` and ``\\r`` break lines and empty lines are skipped, as
+    ``str.splitlines`` and ``strip`` would do on such data. Any other byte,
+    or a value that saturates int64, gives None.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    digits = (raw - np.uint8(ord("0"))) < 10  # other bytes wrap to 10 and up
+    if not (digits | (raw == ord("\n")) | (raw == ord("\r"))).all():
+        return None
+    if not digits.any():
+        return np.empty(0, dtype=np.int64)
+    # A whitespace separator matches any run of whitespace, so blank lines too.
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    return None if values.max() == np.iinfo(np.int64).max else values
+
+
 def load_labels(path, n_expected: int | None = None) -> np.ndarray:
-    """Read one label per line; validates the count and ``as_label_array``, naming bad lines."""
+    """Read one label per line; validates the count and ``as_label_array``, naming bad lines.
+
+    A file of digit lines, as ``save_labels`` writes, is parsed by NumPy
+    (``_digit_lines``); any other file line by line with ``int``, which
+    names the first line that is not an integer or is negative.
+    """
     path = Path(path)
-    lines = [(n, line.strip()) for n, line in enumerate(path.read_text().splitlines(), 1)
-             if line.strip()]
-    if not lines:
+    values, lines = _digit_lines(path.read_bytes()), None
+    if values is None:
+        lines = [(n, line.strip()) for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if line.strip()]
+        values = np.empty(len(lines), dtype=np.intp)
+        for i, (number, line) in enumerate(lines):
+            try:
+                values[i] = int(line)
+            except ValueError:
+                raise LatentFileError(
+                    f"{path}: line {number} is not an integer: {line!r}"
+                ) from None
+    if not values.size:
         raise EmptyFile(f"{path}: no content")
-    values = np.empty(len(lines), dtype=np.intp)
-    for i, (number, line) in enumerate(lines):
-        try:
-            values[i] = int(line)
-        except ValueError:
-            raise LatentFileError(f"{path}: line {number} is not an integer: {line!r}") from None
     if n_expected is not None and values.shape[0] != n_expected:
         raise TruncatedFile(
             f"{path}: {values.shape[0]} labels for {n_expected} points"

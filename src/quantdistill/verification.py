@@ -634,13 +634,19 @@ def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
     package_root = str(Path(__file__).resolve().parents[1])
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        points, labels = demo_dataset(seed, n_per_class=300)
-        latents = tmp / "latents.bin"
-        labels_path = tmp / "labels.txt"
-        save_latents(latents, points)
-        save_labels(labels_path, labels)
-        cloud = ["--latents", str(latents), "--labels", str(labels_path)]
-        names = ("distilled", "transported", "report")
+        clouds = []
+        # The d = 4096 cloud at IPC 10 is in the GEMM-screened nearest-centroid
+        # regime, where the two BLAS thread counts round the screen differently.
+        for name, dataset in (
+            ("", demo_dataset(seed, n_per_class=300)),
+            ("wide_", demo_dataset(seed, n_per_class=100, n_classes=2, dim=4096)),
+        ):
+            latents, labels_path = tmp / f"{name}latents.bin", tmp / f"{name}labels.txt"
+            save_latents(latents, dataset[0])
+            save_labels(labels_path, dataset[1])
+            clouds.append(["--latents", str(latents), "--labels", str(labels_path)])
+        cloud, wide_cloud = clouds
+        names = ("distilled", "transported", "report", "screened")
         runs = []
         # Two fresh processes run concurrently: one at one BLAS thread with a
         # worker process per class, one at two BLAS threads on one CPU.
@@ -657,6 +663,7 @@ def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
                     "train", *distilled, "--model", "logistic", "--lr", "1.0",
                     "--epochs", "200",
                 ],
+                ["distill", *wide_cloud, "--ipc", "10", "--iterations", "50"],
             ]
             argvs = [
                 [*argv, "--seed", str(seed), "--out", out[name]]

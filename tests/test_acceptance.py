@@ -177,6 +177,29 @@ def test_interval_quantizer_error_fails_when_lloyd_never_refines(monkeypatch):
     assert record.passed is False, record.line()
 
 
+@pytest.mark.parametrize("stuck", [False, True], ids=["no_fault", "grid_stuck_after_first_level"])
+def test_quantizer_rate_law_fails_when_the_grid_stops_improving(monkeypatch, stuck):
+    # A cheap scan (2000 samples, one restart) in place of the check's; the
+    # fault keeps the first level's best grid at every later level.
+    exact_scan, exact_best = verification.rate_scan, transport.best_lloyd
+
+    def cheap(sampler, levels, n_samples, seed, *, n_restarts):
+        first = []
+
+        def first_grid_only(mu, starts):
+            if not first:
+                first.append(exact_best(mu, starts))
+            return first[0]
+
+        if stuck:
+            monkeypatch.setattr(transport, "best_lloyd", first_grid_only)
+        return exact_scan(sampler, levels, 2000, seed, n_restarts=1)
+
+    monkeypatch.setattr(verification, "rate_scan", cheap)
+    records = verification.check_quantizer_rate_law(ACCEPTANCE_SEED)
+    assert [record.passed for record in records] == [not stuck] * 2, [r.line() for r in records]
+
+
 def test_registry_covers_every_suite():
     keys = [spec.key for spec in verification.CHECKS]
     assert len(keys) == len(set(keys))

@@ -43,6 +43,7 @@ from quantdistill.latentio import (
     save_train_report,
     save_transported,
 )
+from quantdistill.measures import as_label_array
 from quantdistill.pipeline import demo_dataset, diffuse, distill, train
 from quantdistill.verification import CheckRecord, CheckSpec
 
@@ -261,6 +262,81 @@ def test_load_latents_allocation_peak_is_the_payload(tmp_path):
         tracemalloc.stop()
     np.testing.assert_array_equal(loaded, points)
     assert peak <= points.nbytes + 2**20
+
+
+def _labels_line_by_line(path, n_expected=None):
+    """The per-line label reader: ``int`` on each stripped nonblank line."""
+    lines = [(n, line.strip()) for n, line in enumerate(path.read_text().splitlines(), 1)
+             if line.strip()]
+    if not lines:
+        raise EmptyFile(f"{path}: no content")
+    values = np.empty(len(lines), dtype=np.intp)
+    for i, (number, line) in enumerate(lines):
+        try:
+            values[i] = int(line)
+        except ValueError:
+            raise LatentFileError(f"{path}: line {number} is not an integer: {line!r}") from None
+    if n_expected is not None and values.shape[0] != n_expected:
+        raise TruncatedFile(f"{path}: {values.shape[0]} labels for {n_expected} points")
+    negative = np.flatnonzero(values < 0)
+    if negative.size:
+        number, line = lines[negative[0]]
+        raise LatentFileError(f"{path}: labels must be nonnegative, line {number} holds {line}")
+    try:
+        return as_label_array(values)
+    except ValueError as exc:
+        raise LatentFileError(f"{path}: {exc}") from None
+
+
+def _outcome(read, path, n_expected):
+    try:
+        labels = read(path, n_expected)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    return labels.dtype, labels.tolist()
+
+
+@pytest.mark.parametrize(
+    "content, n_expected",
+    [
+        (b"0\n2\n1\n0\n", None),
+        (b"0\r\n1\r\n\r\n2", 3),
+        (b"1\r0\r\r2\n", None),
+        (b"\n\n007\n0\n1\n2\n3\n4\n5\n6\n", None),
+        (b"0\n1\n", 3),
+        (b"", None),
+        (b"\n\r\n", None),
+        (b" \t\n", None),
+        (b"x", None),
+        (b"0\n1 \n", None),
+        (b"0\n+1\n", None),
+        (b"0\n1_0\n", None),
+        (b"0\n1.0\n", None),
+        (b"0\n\n-1\n", None),
+        (b"0\n-1\n", 3),
+        (b"0\n2\n", None),
+        (b"0\n9223372036854775806\n", None),
+    ],
+)
+def test_load_labels_matches_the_line_by_line_reader(tmp_path, content, n_expected):
+    path = tmp_path / "labels.txt"
+    path.write_bytes(content)
+    expected = _outcome(_labels_line_by_line, path, n_expected)
+    assert _outcome(load_labels, path, n_expected) == expected
+
+
+def test_load_labels_peak_is_a_small_multiple_of_its_result(tmp_path):
+    path = tmp_path / "labels.txt"
+    save_labels(path, np.repeat(np.arange(1000), 200))
+    tracemalloc.start()
+    try:
+        labels = load_labels(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(labels, np.repeat(np.arange(1000), 200))
+    # A tuple and a string per line took about 20 times the result.
+    assert peak <= 3 * labels.nbytes
 
 
 def test_load_labels_names_the_line_of_the_first_negative_label(tmp_path):

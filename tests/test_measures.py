@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp, softmax
@@ -171,6 +171,113 @@ def test_partition_matches_a_brute_force_pass(cloud):
     assert not np.any(doubled.cell_mass[k:])
     assert np.isnan(doubled.cell_centroid[k:]).all()
     assert doubled.distortion == part.distortion
+
+
+def _screened_nearest(monkeypatch, atoms, centroids, floor=None):
+    """``measures._nearest`` with the rows its ``cdist`` fallback took, per call."""
+    exact, fallback_rows = measures._nearest_by_cdist, []
+
+    def counted(rows, grid):
+        fallback_rows.append(rows.shape[0])
+        return exact(rows, grid)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "_nearest_by_cdist", counted)
+        if floor is not None:
+            patch.setattr(measures, "_SCREEN_FLOOR", floor)
+        assignment, nearest_sq = measures._nearest(atoms, centroids)
+    return assignment, nearest_sq, fallback_rows
+
+
+def _assert_same_as_brute(got, atoms, centroids):
+    """``got`` is the full ``cdist`` pass's argmin (ties low) and that entry's bits."""
+    d2 = squared_distances(atoms, centroids)
+    assignment = np.argmin(d2, axis=1)
+    nearest_sq = d2[np.arange(atoms.shape[0]), assignment]
+    assert got[0].dtype == assignment.dtype
+    np.testing.assert_array_equal(got[0], assignment)
+    assert got[1].tobytes() == nearest_sq.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_screened_nearest_equals_cdist_on_random_clouds_at_d4096(monkeypatch, seed):
+    rng = np.random.default_rng(900 + seed)
+    centroids = 3.0 * rng.normal(size=(10, 4096))
+    atoms = centroids[rng.integers(0, 10, 64)] + rng.normal(size=(64, 4096))
+    assert 10 * 4096 >= measures._SCREEN_FLOOR
+    got = _screened_nearest(monkeypatch, atoms, centroids)
+    _assert_same_as_brute(got[:2], atoms, centroids)
+    # The screen decided every row; none needed the full pass.
+    assert got[2] == []
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_screened_nearest_sends_planted_near_ties_to_cdist(monkeypatch, seed):
+    # Atoms mirrored across the bisector of centroids 0 and 1, at offsets
+    # from a few ulps of the coordinates up to well past the screen's margin.
+    # Rounding here stays about 1e-4 of the margin's worst case, so a margin
+    # 1e4 times too small already disagrees with cdist on some seed.
+    rng = np.random.default_rng(910 + seed)
+    d = 4096
+    centroids = 3.0 * rng.normal(size=(10, d))
+    normal = centroids[1] - centroids[0]
+    normal /= np.linalg.norm(normal)
+    spread = rng.normal(size=(12, d))
+    spread -= np.outer(spread @ normal, normal)
+    base = 0.5 * (centroids[0] + centroids[1]) + 0.1 * spread
+    offsets = np.concatenate([[0.0], np.spacing(3.0) * np.array([1, 2, 4, 16]),
+                              np.logspace(-15, -9, 25), [1e-2]])
+    atoms = np.concatenate([
+        base[i % 12] + sign * t * normal for i, t in enumerate(offsets) for sign in (1.0, -1.0)
+    ]).reshape(-1, d)
+    assignment, nearest_sq, fallback_rows = _screened_nearest(monkeypatch, atoms, centroids)
+    _assert_same_as_brute((assignment, nearest_sq), atoms, centroids)
+    assert set(assignment) <= {0, 1}
+    # The ties took the cdist pass, and the clear offsets did not.
+    assert len(fallback_rows) == 1 and 0 < fallback_rows[0] < atoms.shape[0]
+
+
+@pytest.mark.parametrize("centroid_scale", [1.0, 1e153])
+def test_screened_nearest_takes_overflowing_rows_to_cdist(monkeypatch, centroid_scale):
+    rng = np.random.default_rng(920)
+    centroids = centroid_scale * rng.normal(size=(10, 4096))
+    atoms = rng.normal(size=(40, 4096))
+    # Squared distances near and past the largest double: 4096 · (1e153)² overflows.
+    atoms[::2] *= np.repeat([1e150, 1e152, 1e153, 1e154], 5)[:, None]
+    assignment, nearest_sq, fallback_rows = _screened_nearest(monkeypatch, atoms, centroids)
+    _assert_same_as_brute((assignment, nearest_sq), atoms, centroids)
+    assert fallback_rows and fallback_rows[0] >= 10
+
+
+def test_screened_nearest_with_one_centroid(monkeypatch):
+    rng = np.random.default_rng(930)
+    atoms, centroid = rng.normal(size=(50, 16)), rng.normal(size=(1, 16))
+    got = _screened_nearest(monkeypatch, atoms, centroid, floor=0)
+    _assert_same_as_brute(got[:2], atoms, centroid)
+    assert not got[0].any() and got[2] == []
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(weighted_clouds())
+def test_screened_nearest_matches_cdist_on_small_clouds_with_exact_ties(monkeypatch, cloud):
+    # Small-integer coordinates tie exactly; tiny floats underflow.
+    atoms, _, centroids = cloud
+    got = _screened_nearest(monkeypatch, atoms, centroids, floor=0)
+    _assert_same_as_brute(got[:2], atoms, centroids)
+
+
+@pytest.mark.parametrize("d", [3, 16, 4096])
+def test_cdist_entry_depends_only_on_its_own_pair(d):
+    # The screen reads each winner's squared distance from a call on the
+    # winner and the rows it won; that must be the full matrix's entry.
+    rng = np.random.default_rng(940 + d)
+    atoms, centroids = rng.normal(size=(64, d)), rng.normal(size=(10, d))
+    full = squared_distances(atoms, centroids)
+    for j in range(10):
+        rows = np.flatnonzero(rng.random(64) < 0.3)
+        single = squared_distances(centroids[j:j + 1], atoms[rows])
+        assert single.tobytes() == np.ascontiguousarray(full[rows, j]).tobytes()
 
 
 def test_as_label_array_accepts_the_range_in_any_order():

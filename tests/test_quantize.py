@@ -213,6 +213,31 @@ def test_minibatch_kmeans_matches_plain_sculley_reference():
     assert not np.array_equal(batch.grid.centroids, online.grid.centroids)
 
 
+def test_minibatch_kmeans_at_ipc_50_is_byte_identical_on_the_screened_route(monkeypatch):
+    rng = np.random.default_rng(23)
+    modes = 2.0 * rng.normal(size=(60, 1024))
+    data = DiscreteMeasure.uniform(modes[rng.integers(0, 60, 800)] + rng.normal(size=(800, 1024)))
+    assert 50 * 1024 >= measures._SCREEN_FLOOR
+    fallback_rows = []
+
+    def counted(rows, grid):
+        fallback_rows.append(rows.shape[0])
+        return exact(rows, grid)
+
+    exact = measures._nearest_by_cdist
+    monkeypatch.setattr(measures, "_nearest_by_cdist", counted)
+    screened = minibatch_kmeans(data, 50, 64, 60, 11)
+    # The screen decided most rows of the run itself.
+    assert sum(fallback_rows) < 64 * 60 // 2
+    monkeypatch.setattr(measures, "_SCREEN_FLOOR", np.inf)
+    fallback_rows.clear()
+    full = minibatch_kmeans(data, 50, 64, 60, 11)
+    assert sum(fallback_rows) == 64 * 60
+    for field in ("counts", "weights", "winner_sq_dists"):
+        assert getattr(screened, field).tobytes() == getattr(full, field).tobytes(), field
+    assert screened.grid.centroids.tobytes() == full.grid.centroids.tobytes()
+
+
 def test_count_reciprocal_weights_are_win_shares():
     # Per-centroid steps do not average the wins, so the reported weights
     # are the win shares, which recover a 70/30 split.
