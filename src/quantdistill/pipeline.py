@@ -8,6 +8,11 @@ A latent cloud is an ``(n, d)`` array or an open ``latentio.LatentReader``.
 ``distill`` and ``diffuse`` gather one class at a time and ``train`` scores
 its eval cloud in row blocks, all through ``_gather``, so from a reader no
 stage holds more than a class or a block of the file.
+
+``distill`` and ``diffuse`` map their classes through ``_map_classes``:
+large classes are spread over the calling process and forked worker
+processes, small ones run in an in-order loop, and either way the result is
+byte for byte the same.
 """
 
 from __future__ import annotations
@@ -73,9 +78,10 @@ def distill(
     frozen at the batch start. Records centroids, raw win counts and the
     cell-mass weights ``counts / draws``.
 
-    Large classes are quantized on a pool of forked worker processes, as
-    many as the usable CPUs hold at the BLAS thread count; the result is
-    byte for byte the one-process result.
+    Large classes are spread over this process and forked worker
+    processes, as many in all as the usable CPUs hold at the BLAS thread
+    count (``_map_classes``); the result is byte for byte the one-process
+    result.
 
     Raises
     ------
@@ -100,16 +106,22 @@ def distill(
     if batch_size < 1 or n_iterations < 1:
         raise ValueError("batch_size and n_iterations must be positive")
     labels = as_label_array(labels, points.shape[0])
-    settings = (per_class, seed, batch_size, n_iterations)
+    n_classes = int(labels.max()) + 1
     work = batch_size * n_iterations * per_class * points.shape[1]
-    workers = _class_workers(int(labels.max()) + 1, work)
+    classes = _map_classes(
+        "distill",
+        _quantize_class,
+        range(n_classes),
+        (points, labels, per_class, seed, batch_size, n_iterations),
+        _class_workers(n_classes, work),
+    )
     return DistillationResult(
         seed=int(seed),
         per_class=int(per_class),
         dim=int(points.shape[1]),
         batch_size=int(batch_size),
         n_iterations=int(n_iterations),
-        classes=tuple(_map_classes(points, labels, settings, workers)),
+        classes=tuple(classes),
     )
 
 
@@ -138,18 +150,25 @@ def _quantize_class(
     )
 
 
-# Per-class work, in units of batch_size * n_iterations * per_class * dim,
-# below which distill stays in one process. Starting a fork pool takes about
-# 30 ms on a 2-vCPU host, about what the one-process loop spends on 2e7 units.
+# Per-class work below which a stage stays in one process. Starting a fork
+# pool takes about 30 ms on a 2-vCPU host. distill's units are
+# batch_size * n_iterations * per_class * dim, and its one-process loop
+# spends about those 30 ms on 2e7 of them. diffuse's are
+# n_steps * (n_mc + K) * m * dim for K centroids and m reference points per
+# class; in process one took 1.6 ns at d = 16 (3 x 300 points, 100 steps,
+# n_mc 200: 1.0e8 per class), 3.1-4.5 ns at d = 4096 (16 points, 10 steps,
+# n_mc 32: 2.8e7) and 6.0-6.7 ns at d = 4 (100 points, 100 steps, n_mc 100:
+# 4.3e6). Spread over two processes, the first two took 0.71 and 0.57 of
+# their one-process time and the third 1.02, so it stays below the floor.
 _POOL_FLOOR = 2e7
 
 
 def _class_workers(n_classes: int, work: float) -> int:
-    """How many processes quantize ``distill``'s classes; 1 is the in-order loop.
+    """How many processes run a stage's classes; 1 is the in-order loop.
 
     ``min(n_classes, usable CPUs // BLAS threads)`` when fork and CPU
     affinity are available and the per-class ``work`` reaches the floor, so
-    each worker's BLAS threads get their own CPUs; otherwise 1. The BLAS
+    each process's BLAS threads get their own CPUs; otherwise 1. The BLAS
     thread count is read as OpenBLAS reads it, and unset means every usable
     CPU.
     """
@@ -168,38 +187,61 @@ def _class_workers(n_classes: int, work: float) -> int:
     return max(1, min(n_classes, usable // blas_threads))
 
 
-def _map_classes(points, labels, settings, workers: int) -> list[ClassQuantization]:
-    """``_quantize_class`` for every class, in label order.
+def _map_classes(stage: str, task, items, state: tuple, workers: int) -> list:
+    """``task(item, *state)`` for each of the sequence ``items``, one per class in label order.
 
-    With one worker it is an in-order loop that holds one class copy at a
-    time. Otherwise a fork pool inherits ``points`` (a reader, or a caller's
-    array), labels and settings, the tasks are the labels, and each worker
-    gathers its own class; results and the first error come back in label
-    order, a worker that dies raises ``QuantDistillError``, and the pool is
-    gone when this returns.
+    ``task`` is a module-level per-class function of ``stage`` (``distill``
+    or ``diffuse``), and ``state`` starts with the cloud (a reader or an
+    array) and its labels, from which the task gathers its own class. With
+    one worker this is an in-order loop that holds one class copy at a
+    time. Otherwise ``workers`` processes share the classes: this one runs
+    every ``workers``-th class, from the first, and a fork pool of the other
+    ``workers - 1`` inherits ``task`` and ``state`` and runs the rest, so
+    only those items and results are pickled. Results and the first error
+    come back in label order, a worker that dies raises
+    ``QuantDistillError`` naming the stage, and the pool is gone when this
+    returns. Either way the results are the same, bit for bit.
     """
-    classes = range(int(labels.max()) + 1)
     if workers <= 1:
-        return [_quantize_class(label, points, labels, *settings) for label in classes]
+        return [task(item, *state) for item in items]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    # This process works rather than sleeps: in benchmark runs on a 2-vCPU
+    # host, a process that slept while its workers ran read its next stages
+    # up to a third slower.
     pool = ProcessPoolExecutor(
-        workers,
+        workers - 1,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_start_class_worker,
-        initargs=(points, labels, *settings),
+        initargs=(task, *state),
     )
     try:
-        return list(pool.map(_pooled_class, classes))
+        pooled = {
+            i: pool.submit(_pooled_class, item) for i, item in enumerate(items) if i % workers
+        }
+        own = {}
+        for i in range(0, len(items), workers):
+            try:
+                own[i] = task(items[i], *state)
+            except Exception as exc:  # raised below unless a lower class failed
+                own[i] = exc
+                break
+        results = []
+        for i in range(len(items)):
+            result = pooled[i].result() if i in pooled else own[i]
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
+        return results
     except BrokenProcessPool as exc:
-        raise QuantDistillError(f"a distill worker process died: {exc}") from exc
+        raise QuantDistillError(f"a {stage} worker process died: {exc}") from exc
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-_worker_state = None  # (reader or array, labels, *settings), set in each pool worker
+_worker_state = None  # (task, reader or array, labels, *settings), set in each pool worker
 
 
 def _start_class_worker(*state) -> None:
@@ -207,8 +249,9 @@ def _start_class_worker(*state) -> None:
     _worker_state = state
 
 
-def _pooled_class(label: int) -> ClassQuantization:
-    return _quantize_class(label, *_worker_state)
+def _pooled_class(item):
+    task, *state = _worker_state
+    return task(item, *state)
 
 
 def _gather(points, rows, out=None) -> np.ndarray:
@@ -262,6 +305,13 @@ def diffuse(
     the quantized law at the horizon. Each class receives a stability bound
     report comparing its transported expectation of the distance-to-origin
     function (Lipschitz constant 1) against the explicit ceiling.
+
+    Classes are spread over processes as ``distill`` spreads its own
+    (``_map_classes``) when their work, ``n_steps * (n_mc + K) * m * dim``
+    for K centroids and the largest class of m reference points, reaches
+    the same floor; the result is byte for byte the one-process result.
+    Errors come from the lowest failing class, and a worker that dies raises
+    ``QuantDistillError``.
     """
     if not isinstance(ref_points, LatentReader):
         ref_points = np.ascontiguousarray(ref_points, dtype=np.float64)
@@ -271,15 +321,22 @@ def diffuse(
         )
     ref_labels = as_label_array(ref_labels, ref_points.shape[0])
     test_fn = LipschitzFunction.distance_to(np.zeros(result.dim))
+    classes = sorted(result.classes, key=lambda c: c.label)
+    largest = int(np.bincount(ref_labels).max())
+    work = sde.n_steps * (n_mc + result.per_class) * largest * result.dim
+    transported = _map_classes(
+        "diffuse",
+        _transport_class,
+        classes,
+        (ref_points, ref_labels, sde, test_fn, n_mc, seed),
+        _class_workers(len(classes), work),
+    )
     return TransportedResult(
         seed=int(seed),
         process=sde,
         n_mc=int(n_mc),
         test_function="distance_to_origin",
-        classes=tuple(
-            _transport_class(cls, ref_points, ref_labels, sde, test_fn, n_mc, seed)
-            for cls in sorted(result.classes, key=lambda c: c.label)
-        ),
+        classes=tuple(transported),
     )
 
 

@@ -611,9 +611,10 @@ def check_gradient_discrepancy_weighting(seed: int) -> list[CheckRecord]:
 
 
 # Runs the command lines given as one JSON list, in order, through the CLI.
-# The second argument picks how distill maps its classes: "pool" forks one
-# worker per class whatever the host, "pinned" binds the process to one CPU
-# first, so distill's worker count there is 1.
+# The second argument picks how distill and diffuse map their classes: "pool"
+# gives each class a process of its own whatever the host (class 0 this one,
+# the others forked workers), "pinned" binds the process to one CPU first, so
+# every class runs in it.
 _STAGE_RUNNER = """
 import json, os, sys
 if sys.argv[2] == "pinned" and hasattr(os, "sched_setaffinity"):
@@ -636,7 +637,8 @@ def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
         tmp = Path(tmp)
         clouds = []
         # The d = 4096 cloud at IPC 10 is in the GEMM-screened nearest-centroid
-        # regime, where the two BLAS thread counts round the screen differently.
+        # regime, where the two BLAS thread counts round the screen differently,
+        # and its diffuse is large enough for the class pool on its own.
         for name, dataset in (
             ("", demo_dataset(seed, n_per_class=300)),
             ("wide_", demo_dataset(seed, n_per_class=100, n_classes=2, dim=4096)),
@@ -646,10 +648,10 @@ def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
             save_labels(labels_path, dataset[1])
             clouds.append(["--latents", str(latents), "--labels", str(labels_path)])
         cloud, wide_cloud = clouds
-        names = ("distilled", "transported", "report", "screened")
+        names = ("distilled", "transported", "report", "screened", "screened_transported")
         runs = []
         # Two fresh processes run concurrently: one at one BLAS thread with a
-        # worker process per class, one at two BLAS threads on one CPU.
+        # process per class, one at two BLAS threads on one CPU.
         for mode, threads in (("pool", "1"), ("pinned", "2")):
             out = {name: str(tmp / f"{name}_{mode}.json") for name in names}
             distilled = ["--distilled", out["distilled"]]
@@ -664,6 +666,10 @@ def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
                     "--epochs", "200",
                 ],
                 ["distill", *wide_cloud, "--ipc", "10", "--iterations", "50"],
+                [
+                    "diffuse", "--distilled", out["screened"], *wide_cloud, "--steps",
+                    "10", "--mc", "32",
+                ],
             ]
             argvs = [
                 [*argv, "--seed", str(seed), "--out", out[name]]
@@ -693,11 +699,12 @@ def check_pipeline_determinism(seed: int) -> list[CheckRecord]:
         CheckRecord(
             claim="pipeline_byte_determinism",
             statement=(
-                "Running distill, diffuse, and train with one seed in two fresh "
-                "processes, one at one BLAS thread with distill's classes on a "
-                "worker process each and one at two BLAS threads pinned to one "
-                "CPU, so with no workers, writes every output file byte for byte "
-                "the same (count of differing stages)."
+                "Running distill, diffuse, and train, then distill and diffuse "
+                "at d = 4096, with one seed in two fresh processes, one at one "
+                "BLAS thread with each class of distill and diffuse in a process "
+                "of its own (forked workers for all but class 0) and one at two "
+                "BLAS threads pinned to one CPU, so with no workers, writes every "
+                "output file byte for byte the same (count of differing stages)."
             ),
             measured=float(mismatches),
             target=0.0,

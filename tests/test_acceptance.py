@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import quantdistill
-from quantdistill import cli, quantize, transport, verification
+from quantdistill import cli, diffusion, quantize, transport, verification
 from quantdistill.measures import DiscreteMeasure, quadratic_distortion
 
 ACCEPTANCE_SEED = 0
@@ -198,6 +198,31 @@ def test_quantizer_rate_law_fails_when_the_grid_stops_improving(monkeypatch, stu
     monkeypatch.setattr(verification, "rate_scan", cheap)
     records = verification.check_quantizer_rate_law(ACCEPTANCE_SEED)
     assert [record.passed for record in records] == [not stuck] * 2, [r.line() for r in records]
+
+
+@pytest.mark.parametrize("noise", [True, False], ids=["no_fault", "reverse_step_without_noise"])
+def test_transported_expectation_bound_fails_without_the_reverse_noise(monkeypatch, noise):
+    # Cheap bound configurations (40 steps, 200 draws) in place of the check's.
+    # The fault zeroes the noise of the reverse Euler steps behind
+    # reverse_marginal_consistency, so the reversed Gaussian's variance
+    # collapses toward 0.01 instead of the early-stop time's 0.1.
+    exact_configs, exact_reverse = verification._bound_configs, verification.reverse_integrate
+    monkeypatch.setattr(verification, "_bound_configs", lambda: [
+        (name, ref, dataclasses.replace(sde, n_steps=40), k, fn, 200)
+        for name, ref, sde, k, fn, _ in exact_configs()
+    ])
+
+    def noiseless(start, ref, sde, seed):
+        with monkeypatch.context() as patch:
+            silent = SimpleNamespace(standard_normal=np.zeros)
+            patch.setattr(diffusion, "as_generator", lambda seed: silent)
+            return exact_reverse(start, ref, sde, seed)
+
+    if not noise:
+        monkeypatch.setattr(verification, "reverse_integrate", noiseless)
+    records = verification.check_transported_expectation_bound(ACCEPTANCE_SEED)
+    failed = [record.claim for record in records if not record.passed]
+    assert failed == ([] if noise else ["reverse_marginal_consistency"]), [r.line() for r in records]
 
 
 def test_registry_covers_every_suite():

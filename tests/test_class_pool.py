@@ -1,6 +1,6 @@
-"""Tests for ``distill``'s class map (the fork pool and the in-order loop)
-and for the per-class latent reader behind ``distill``, ``diffuse`` and
-``train``'s eval accuracy.
+"""Tests for the class map of ``distill`` and ``diffuse`` (the fork pool and
+the in-order loop) and for the per-class latent reader behind ``distill``,
+``diffuse`` and ``train``'s eval accuracy.
 
 Every test name contains ``class_pool``, so ``pytest -k class_pool`` selects
 them, as CI does once more pinned to one CPU.
@@ -42,15 +42,19 @@ def _force_workers(monkeypatch, workers):
     monkeypatch.setattr(pipeline, "_class_workers", lambda n_classes, work: workers)
 
 
-def _spy_on_classes(monkeypatch, in_worker: bool):
-    # Each class asserts where it is quantized; a fork inherits the spy.
-    main_pid, quantize = os.getpid(), pipeline._quantize_class
+def _spy_on_classes(monkeypatch, workers: int, task="_quantize_class", points_type=object):
+    # Each class asserts where it runs, and what it reads: on a pool of
+    # `workers` processes, class c runs in a forked worker unless c is a
+    # multiple of `workers`, and then in this process. A fork inherits the spy.
+    main_pid, exact = os.getpid(), getattr(pipeline, task)
 
-    def spy(*args):
-        assert (os.getpid() != main_pid) == in_worker
-        return quantize(*args)
+    def spy(item, points, *args):
+        label = getattr(item, "label", item)
+        assert (os.getpid() != main_pid) == (workers > 1 and label % workers != 0)
+        assert isinstance(points, points_type)
+        return exact(item, points, *args)
 
-    monkeypatch.setattr(pipeline, "_quantize_class", spy)
+    monkeypatch.setattr(pipeline, task, spy)
 
 
 def _document(tmp_path, name, result) -> bytes:
@@ -65,7 +69,7 @@ def test_class_pool_distill_is_byte_identical_to_the_serial_loop(tmp_path, monke
     kwargs = dict(batch_size=16, n_iterations=20)
     serial = _document(tmp_path, "serial", distill(points, labels, 6, 11, **kwargs))
     _force_workers(monkeypatch, workers)
-    _spy_on_classes(monkeypatch, in_worker=True)
+    _spy_on_classes(monkeypatch, workers)
     pooled = _document(tmp_path, "pooled", distill(points, labels, 6, 11, **kwargs))
     assert pooled == serial
     assert multiprocessing.active_children() == []
@@ -93,7 +97,7 @@ def test_class_pool_error_names_the_lowest_failing_class(tmp_path, monkeypatch, 
         distill(points, labels, 2, 0, **settings)
     assert str(serial.value).startswith("class 1: ")
     _force_workers(monkeypatch, 3)
-    _spy_on_classes(monkeypatch, in_worker=True)
+    _spy_on_classes(monkeypatch, 3)
     with pytest.raises(error) as pooled:
         distill(points, labels, 2, 0, **settings)
     assert str(pooled.value) == str(serial.value)
@@ -166,6 +170,53 @@ def test_class_pool_floor_splits_the_benchmark_shapes():
     assert work(10, 16) < FLOOR  # desk-scale classes
 
 
+class _Decided(Exception):
+    pass
+
+
+def _diffuse_work(monkeypatch, classes, per_class, ref_per_class, dim, steps, mc) -> float:
+    """The per-class work ``diffuse`` passes to ``_class_workers``, which stops it there."""
+    seen = []
+
+    def record(n_classes, work):
+        seen.append((n_classes, work))
+        raise _Decided
+
+    monkeypatch.setattr(pipeline, "_class_workers", record)
+    result = latentio.DistillationResult(
+        seed=0, per_class=per_class, dim=dim, batch_size=64, n_iterations=200,
+        classes=tuple(
+            latentio.ClassQuantization(
+                label=c,
+                centroids=np.zeros((per_class, dim)),
+                counts=np.ones(per_class, dtype=np.int64),
+                weights=np.full(per_class, 1.0 / per_class),
+            )
+            for c in range(classes)
+        ),
+    )
+    labels = np.repeat(np.arange(classes), ref_per_class)
+    sde = SdeSpec("brownian", 1.0, 0.25, steps)
+    with pytest.raises(_Decided):
+        diffuse(result, np.zeros((labels.size, dim)), labels, sde, mc, 0)
+    [(n_classes, work)] = seen
+    assert n_classes == classes
+    return work
+
+
+@pytest.mark.parametrize(
+    "workload, shape, pooled",
+    [
+        # classes, IPC, reference points per class, dim, steps, n_mc, as bench/workloads.py.
+        ("paper_shape", (4, 10, 16, 4096, 10, 32), True),
+        ("desk_pipeline", (3, 10, 300, 16, 100, 200), True),
+        ("certify", (3, 8, 100, 4, 100, 100), False),
+    ],
+)
+def test_class_pool_floor_splits_the_diffuse_benchmark_shapes(monkeypatch, workload, shape, pooled):
+    assert (_diffuse_work(monkeypatch, *shape) >= FLOOR) == pooled
+
+
 def test_class_pool_worker_count_reads_this_process_affinity(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     usable = len(os.sched_getaffinity(0))
@@ -174,76 +225,94 @@ def test_class_pool_worker_count_reads_this_process_affinity(monkeypatch):
 
 def test_class_pool_small_distill_runs_in_process(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    _spy_on_classes(monkeypatch, in_worker=False)
+    _spy_on_classes(monkeypatch, 1)
     points, labels = demo_dataset(2, n_per_class=50, n_classes=3)
     distill(points, labels, 4, 0, batch_size=8, n_iterations=10)
 
 
-# Prints whether the pool path's import happened during one distill call.
+# Prints whether the pool path's import happened during one distill call, and
+# then during one diffuse call of the distilled classes.
 _PROBE = """
 import os, sys
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from quantdistill import pipeline
+from quantdistill.diffusion import SdeSpec
 pipeline._POOL_FLOOR = float(sys.argv[2])
 points, labels = pipeline.demo_dataset(0, n_per_class=40, n_classes=3)
-pipeline.distill(points, labels, 3, 0, batch_size=8, n_iterations=10)
+result = pipeline.distill(points, labels, 3, 0, batch_size=8, n_iterations=10)
+print("multiprocessing" in sys.modules)
+pipeline.diffuse(result, points, labels, SdeSpec("brownian", 1.0, 0.25, 5), 10, 0)
 print("multiprocessing" in sys.modules)
 """
 
 
 @pytest.mark.parametrize("mode, floor", [("free", FLOOR), ("pinned", 0.0)])
 def test_class_pool_serial_runs_never_import_multiprocessing(mode, floor):
-    # Below the floor, and on one CPU even with no floor, distill stays in
-    # process and the interpreter never imports multiprocessing.
+    # Below the floor, and on one CPU even with no floor, distill and diffuse
+    # stay in process and the interpreter never imports multiprocessing.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
     run = subprocess.run(
         [sys.executable, "-c", _PROBE, mode, json.dumps(floor)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert run.stdout.strip() == "False", run.stderr
+    assert run.stdout.split() == ["False", "False"], run.stderr
 
 
-# Runs distill through the CLI on two workers, class 1's of which kills itself,
-# and prints as JSON the exit status, whether the output exists and how many
-# child processes are alive.
+# Runs a stage through the CLI on two processes, whose forked worker kills
+# itself on class 1, and prints as JSON the exit status, whether the output
+# exists and how many child processes are alive. diffuse first distills its
+# input in process.
 _KILL = """
 import json, multiprocessing, os, signal, sys
 from quantdistill import cli, latentio, pipeline
-folder = sys.argv[1]
+folder, stage = sys.argv[1:3]
 points, labels = pipeline.demo_dataset(0, n_per_class=40, n_classes=3)
 latentio.save_latents(folder + "/latents.bin", points)
 latentio.save_labels(folder + "/labels.txt", labels)
-quantize = pipeline._quantize_class
+cloud = ["--latents", folder + "/latents.bin", "--labels", folder + "/labels.txt"]
+argv = ["distill", *cloud, "--ipc", "3", "--batch-size", "8", "--iterations", "10"]
+task = "_quantize_class"
+if stage == "diffuse":
+    cli.main([*argv, "--out", folder + "/distilled.json"])
+    argv = ["diffuse", "--distilled", folder + "/distilled.json", *cloud, "--steps", "5",
+            "--mc", "10"]
+    task = "_transport_class"
+exact = getattr(pipeline, task)
 
-def kill_class_1(label, *args):
-    if label == 1:
+def kill_class_1(item, *args):
+    if getattr(item, "label", item) == 1:
         os.kill(os.getpid(), signal.SIGKILL)
-    return quantize(label, *args)
+    return exact(item, *args)
 
-pipeline._quantize_class = kill_class_1
+setattr(pipeline, task, kill_class_1)
 pipeline._class_workers = lambda n_classes, work: 2
-out = folder + "/distilled.json"
-status = cli.main([
-    "distill", "--latents", folder + "/latents.bin", "--labels", folder + "/labels.txt",
-    "--ipc", "3", "--batch-size", "8", "--iterations", "10", "--out", out,
-])
+out = folder + "/out.json"
+status = cli.main([*argv, "--out", out])
 print(json.dumps([status, os.path.exists(out), len(multiprocessing.active_children())]))
 """
 
 
-def test_class_pool_dead_worker_fails_distill_instead_of_hanging(tmp_path):
+def _kill_class_1(tmp_path, stage):
     # In a subprocess with a timeout, so that a pool that waits forever for
     # the lost class fails this test rather than hanging the suite.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
     run = subprocess.run(
-        [sys.executable, "-c", _KILL, str(tmp_path)],
+        [sys.executable, "-c", _KILL, str(tmp_path), stage],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    assert json.loads(run.stdout) == [2, False, 0], run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [2, False, 0], run.stderr
     # One error line and no traceback.
-    assert run.stderr.startswith("error: a distill worker process died")
+    assert run.stderr.startswith(f"error: a {stage} worker process died")
     assert run.stderr.count("\n") == 1
+
+
+def test_class_pool_dead_worker_fails_distill_instead_of_hanging(tmp_path):
+    _kill_class_1(tmp_path, "distill")
+
+
+def test_class_pool_dead_worker_fails_diffuse_instead_of_hanging(tmp_path):
+    _kill_class_1(tmp_path, "diffuse")
 
 
 # The per-class reader.
@@ -318,17 +387,6 @@ def test_class_pool_reader_distill_and_diffuse_match_the_array_route(tmp_path, m
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def _spy_on_reader_classes(monkeypatch):
-    # Each class asserts that it runs in a pool worker and reads through the reader.
-    main_pid, quantize = os.getpid(), pipeline._quantize_class
-
-    def spy(label, points, *args):
-        assert os.getpid() != main_pid and isinstance(points, LatentReader)
-        return quantize(label, points, *args)
-
-    monkeypatch.setattr(pipeline, "_quantize_class", spy)
-
-
 def test_class_pool_reader_pool_is_byte_identical_to_the_serial_loop(tmp_path, monkeypatch):
     points, labels, latents, _ = _shuffled_cloud(tmp_path, n_classes=5)
     settings = dict(batch_size=16, n_iterations=20)
@@ -336,8 +394,30 @@ def test_class_pool_reader_pool_is_byte_identical_to_the_serial_loop(tmp_path, m
         _force_workers(monkeypatch, 1)
         serial = _document(tmp_path, "serial", distill(reader, labels, 6, 11, **settings))
         _force_workers(monkeypatch, 3)
-        _spy_on_reader_classes(monkeypatch)
+        _spy_on_classes(monkeypatch, 3, points_type=LatentReader)
         pooled = _document(tmp_path, "pooled", distill(reader, labels, 6, 11, **settings))
+    assert pooled == serial
+    assert multiprocessing.active_children() == []
+
+
+def _transported(tmp_path, name, result) -> bytes:
+    path = tmp_path / f"{name}.json"
+    save_transported(path, result)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("route", ["array", "reader"])
+def test_class_pool_diffuse_is_byte_identical_to_the_serial_loop(tmp_path, monkeypatch, route):
+    points, labels, latents, _ = _shuffled_cloud(tmp_path, n_classes=5)
+    result = distill(points, labels, 4, 3, batch_size=16, n_iterations=20)
+    sde = SdeSpec("ornstein_uhlenbeck", 1.0, 0.2, 10)
+    with LatentReader(latents) as reader:
+        cloud = reader if route == "reader" else points
+        _force_workers(monkeypatch, 1)
+        serial = _transported(tmp_path, "serial", diffuse(result, cloud, labels, sde, 30, 3))
+        _force_workers(monkeypatch, 3)
+        _spy_on_classes(monkeypatch, 3, "_transport_class", type(cloud))
+        pooled = _transported(tmp_path, "pooled", diffuse(result, cloud, labels, sde, 30, 3))
     assert pooled == serial
     assert multiprocessing.active_children() == []
 
@@ -395,6 +475,32 @@ def test_class_pool_lowest_failing_class_reports_first(tmp_path, monkeypatch, ca
         else:
             assert err == f"error: {latents}: row 35 (0-based) holds NaN or infinite entries\n"
         assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_class_pool_diffuse_nan_in_two_classes_names_class_1s_row(
+    tmp_path, monkeypatch, capsys, workers
+):
+    # Class 2's bad row comes first in the file, but class 1 is transported first.
+    points, labels, latents, labels_path = _shuffled_cloud(tmp_path)
+    distilled = tmp_path / "distilled.json"
+    save_distillation(distilled, distill(points, labels, 2, 0, batch_size=8, n_iterations=10))
+    first_of_2, last_of_1 = np.flatnonzero(labels == 2)[0], np.flatnonzero(labels == 1)[-1]
+    assert first_of_2 < last_of_1
+    points[[first_of_2, last_of_1], 2] = np.nan
+    _write_raw_latents(latents, points)
+    _force_workers(monkeypatch, workers)
+    out = tmp_path / "transported.json"
+    status = cli.main([
+        "diffuse", "--distilled", str(distilled), "--latents", str(latents),
+        "--labels", str(labels_path), "--steps", "5", "--mc", "10", "--out", str(out),
+    ])
+    assert status == 2
+    assert capsys.readouterr().err == (
+        f"error: {latents}: row {last_of_1} (0-based) holds NaN or infinite entries\n"
+    )
+    assert not out.exists()
     assert multiprocessing.active_children() == []
 
 
