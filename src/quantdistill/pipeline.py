@@ -18,6 +18,8 @@ byte for byte the same.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 
 import numpy as np
 
@@ -150,10 +152,11 @@ def _quantize_class(
     )
 
 
-# Per-class work below which a stage stays in one process. Starting a fork
-# pool takes about 30 ms on a 2-vCPU host. distill's units are
+# Per-class work below which a stage stays in one process. Forking one
+# worker, reading its results and reaping it takes about 7 ms in a 100 MB
+# process on a 2-vCPU host. distill's units are
 # batch_size * n_iterations * per_class * dim, and its one-process loop
-# spends about those 30 ms on 2e7 of them. diffuse's are
+# spends about 30 ms on 2e7 of them. diffuse's are
 # n_steps * (n_mc + K) * m * dim for K centroids and m reference points per
 # class; in process one took 1.6 ns at d = 16 (3 x 300 points, 100 steps,
 # n_mc 200: 1.0e8 per class), 3.1-4.5 ns at d = 4096 (16 points, 10 steps,
@@ -195,63 +198,87 @@ def _map_classes(stage: str, task, items, state: tuple, workers: int) -> list:
     array) and its labels, from which the task gathers its own class. With
     one worker this is an in-order loop that holds one class copy at a
     time. Otherwise ``workers`` processes share the classes: this one runs
-    every ``workers``-th class, from the first, and a fork pool of the other
-    ``workers - 1`` inherits ``task`` and ``state`` and runs the rest, so
-    only those items and results are pickled. Results and the first error
-    come back in label order, a worker that dies raises
-    ``QuantDistillError`` naming the stage, and the pool is gone when this
-    returns. Either way the results are the same, bit for bit.
+    every ``workers``-th class, from the first, and each of ``workers - 1``
+    forked workers inherits ``task`` and ``state``, runs the classes
+    ``first, first + workers, ...`` for its own ``first`` and pickles its
+    results back through a pipe. Results and the first error come back in
+    label order, a worker that dies raises ``QuantDistillError`` naming the
+    stage, and every worker is reaped when this returns. Either way the
+    results are the same, bit for bit.
     """
     if workers <= 1:
         return [task(item, *state) for item in items]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     # This process works rather than sleeps: in benchmark runs on a 2-vCPU
     # host, a process that slept while its workers ran read its next stages
-    # up to a third slower.
-    pool = ProcessPoolExecutor(
-        workers - 1,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_class_worker,
-        initargs=(task, *state),
-    )
+    # up to a third slower. Plain forks and pipes rather than an executor,
+    # whose manager and feeder threads share this process's interpreter: in
+    # ten alternating desk_pipeline benchmark pairs on that host, the stage
+    # after a pooled diffuse, train, read 9% faster without them.
+    workers_left = []  # (pid, read end of its pipe) of each worker not yet reaped
     try:
-        pooled = {
-            i: pool.submit(_pooled_class, item) for i, item in enumerate(items) if i % workers
-        }
-        own = {}
-        for i in range(0, len(items), workers):
-            try:
-                own[i] = task(items[i], *state)
-            except Exception as exc:  # raised below unless a lower class failed
-                own[i] = exc
-                break
-        results = []
-        for i in range(len(items)):
-            result = pooled[i].result() if i in pooled else own[i]
-            if isinstance(result, Exception):
-                raise result
-            results.append(result)
-        return results
-    except BrokenProcessPool as exc:
-        raise QuantDistillError(f"a {stage} worker process died: {exc}") from exc
+        for first in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                for _, pipe in workers_left:
+                    pipe.close()
+                _send_share(task, items[first::workers], state, write_fd)
+            os.close(write_fd)
+            workers_left.append((pid, open(read_fd, "rb")))
+        shares = [_share(task, items[::workers], state)]
+        while workers_left:
+            pid, pipe = workers_left[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers_left[0]
+            if code or not data:  # its share is lost, from its first class on
+                died = QuantDistillError(f"a {stage} worker process died (exit code {code})")
+                shares.append([died])
+            else:
+                shares.append(pickle.loads(data))
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, pipe in workers_left:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = []
+    for i in range(len(items)):
+        # A share stops at its first error, so the lowest error in label
+        # order is reached before any item missing after it.
+        result = shares[i % workers][i // workers]
+        if isinstance(result, Exception):
+            raise result
+        results.append(result)
+    return results
 
 
-_worker_state = None  # (task, reader or array, labels, *settings), set in each pool worker
+def _share(task, items, state) -> list:
+    """``task`` over ``items`` in order, up to and including the first exception raised."""
+    results = []
+    for item in items:
+        try:
+            results.append(task(item, *state))
+        except Exception as exc:  # raised in label order by _map_classes
+            results.append(exc)
+            break
+    return results
 
 
-def _start_class_worker(*state) -> None:
-    global _worker_state
-    _worker_state = state
+def _send_share(task, items, state, write_fd: int) -> None:
+    """In a forked worker: pickle ``_share``'s results to ``write_fd``, then exit.
 
-
-def _pooled_class(item):
-    task, *state = _worker_state
-    return task(item, *state)
+    ``os._exit`` skips the parent's exit handlers and buffered output; any
+    failure here, such as a result that does not pickle, exits with status 1.
+    """
+    code = 1
+    try:
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(_share(task, items, state)))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _gather(points, rows, out=None) -> np.ndarray:

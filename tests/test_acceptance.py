@@ -96,10 +96,11 @@ def test_pipeline_determinism_fails_for_a_subseed_keyed_on_the_worker(monkeypatc
     # Planted in both fresh processes before their stages run: a class's
     # sub-seed also depends on whether a pool worker quantizes it.
     fault = (
-        "import multiprocessing, numpy\n"
+        "import os, numpy\n"
         "from quantdistill import pipeline\n"
+        "_stage_pid = os.getpid()\n"
         "pipeline.class_subseed = lambda seed, label: numpy.random.SeedSequence(\n"
-        "    (seed, label, int(multiprocessing.parent_process() is not None)))\n"
+        "    (seed, label, int(os.getpid() != _stage_pid)))\n"
     )
     monkeypatch.setattr(verification, "_STAGE_RUNNER", fault + verification._STAGE_RUNNER)
     byte_record, _ = verification.check_pipeline_determinism(ACCEPTANCE_SEED)

@@ -7,8 +7,8 @@ them, as CI does once more pinned to one CPU.
 """
 
 import json
-import multiprocessing
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -20,7 +20,13 @@ import pytest
 
 from quantdistill import cli, latentio, pipeline
 from quantdistill.diffusion import SdeSpec
-from quantdistill.errors import EmptyCluster, InsufficientPoints, NonFiniteValue, TruncatedFile
+from quantdistill.errors import (
+    EmptyCluster,
+    InsufficientPoints,
+    NonFiniteValue,
+    QuantDistillError,
+    TruncatedFile,
+)
 from quantdistill.latentio import (
     LatentReader,
     load_distillation,
@@ -40,6 +46,12 @@ FLOOR = pipeline._POOL_FLOOR
 
 def _force_workers(monkeypatch, workers):
     monkeypatch.setattr(pipeline, "_class_workers", lambda n_classes, work: workers)
+
+
+def _assert_no_workers_left():
+    # Every forked worker has been reaped: this process has no child left.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _spy_on_classes(monkeypatch, workers: int, task="_quantize_class", points_type=object):
@@ -72,7 +84,7 @@ def test_class_pool_distill_is_byte_identical_to_the_serial_loop(tmp_path, monke
     _spy_on_classes(monkeypatch, workers)
     pooled = _document(tmp_path, "pooled", distill(points, labels, 6, 11, **kwargs))
     assert pooled == serial
-    assert multiprocessing.active_children() == []
+    _assert_no_workers_left()
 
 
 def _failing_cloud(error):
@@ -101,7 +113,7 @@ def test_class_pool_error_names_the_lowest_failing_class(tmp_path, monkeypatch, 
     with pytest.raises(error) as pooled:
         distill(points, labels, 2, 0, **settings)
     assert str(pooled.value) == str(serial.value)
-    assert multiprocessing.active_children() == []
+    _assert_no_workers_left()
 
     latents, labels_path = tmp_path / "latents.bin", tmp_path / "labels.txt"
     save_latents(latents, points)
@@ -114,7 +126,7 @@ def test_class_pool_error_names_the_lowest_failing_class(tmp_path, monkeypatch, 
     assert status == 2
     assert f"error: {serial.value}" in capsys.readouterr().err
     assert not (tmp_path / "distilled.json").exists()
-    assert multiprocessing.active_children() == []
+    _assert_no_workers_left()
 
 
 @pytest.fixture
@@ -230,10 +242,12 @@ def test_class_pool_small_distill_runs_in_process(monkeypatch):
     distill(points, labels, 4, 0, batch_size=8, n_iterations=10)
 
 
-# Prints whether the pool path's import happened during one distill call, and
-# then during one diffuse call of the distilled classes.
+# Prints whether the process forked or imported multiprocessing during one
+# distill call, and then during one diffuse call of the distilled classes.
 _PROBE = """
 import os, sys
+forks = []
+os.register_at_fork(before=lambda: forks.append(1))
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from quantdistill import pipeline
@@ -241,16 +255,17 @@ from quantdistill.diffusion import SdeSpec
 pipeline._POOL_FLOOR = float(sys.argv[2])
 points, labels = pipeline.demo_dataset(0, n_per_class=40, n_classes=3)
 result = pipeline.distill(points, labels, 3, 0, batch_size=8, n_iterations=10)
-print("multiprocessing" in sys.modules)
+print(bool(forks) or "multiprocessing" in sys.modules)
 pipeline.diffuse(result, points, labels, SdeSpec("brownian", 1.0, 0.25, 5), 10, 0)
-print("multiprocessing" in sys.modules)
+print(bool(forks) or "multiprocessing" in sys.modules)
 """
 
 
 @pytest.mark.parametrize("mode, floor", [("free", FLOOR), ("pinned", 0.0)])
 def test_class_pool_serial_runs_never_import_multiprocessing(mode, floor):
     # Below the floor, and on one CPU even with no floor, distill and diffuse
-    # stay in process and the interpreter never imports multiprocessing.
+    # stay in process: the interpreter neither forks nor imports
+    # multiprocessing.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
     run = subprocess.run(
         [sys.executable, "-c", _PROBE, mode, json.dumps(floor)],
@@ -264,7 +279,7 @@ def test_class_pool_serial_runs_never_import_multiprocessing(mode, floor):
 # exists and how many child processes are alive. diffuse first distills its
 # input in process.
 _KILL = """
-import json, multiprocessing, os, signal, sys
+import json, os, signal, sys
 from quantdistill import cli, latentio, pipeline
 folder, stage = sys.argv[1:3]
 points, labels = pipeline.demo_dataset(0, n_per_class=40, n_classes=3)
@@ -289,7 +304,11 @@ setattr(pipeline, task, kill_class_1)
 pipeline._class_workers = lambda n_classes, work: 2
 out = folder + "/out.json"
 status = cli.main([*argv, "--out", out])
-print(json.dumps([status, os.path.exists(out), len(multiprocessing.active_children())]))
+try:
+    children = int(os.waitpid(-1, os.WNOHANG) is not None)
+except ChildProcessError:
+    children = 0
+print(json.dumps([status, os.path.exists(out), children]))
 """
 
 
@@ -313,6 +332,36 @@ def test_class_pool_dead_worker_fails_distill_instead_of_hanging(tmp_path):
 
 def test_class_pool_dead_worker_fails_diffuse_instead_of_hanging(tmp_path):
     _kill_class_1(tmp_path, "diffuse")
+
+
+def _dies_on(label, *, fails=()):
+    def task(item, *state):
+        if item in fails:
+            raise InsufficientPoints(f"class {item}: one distinct point")
+        if item == label:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return item
+
+    return task
+
+
+@pytest.mark.parametrize("fails, error", [((), QuantDistillError), ((0,), InsufficientPoints)])
+def test_class_pool_dead_worker_counts_as_its_first_class(fails, error):
+    # On 2 processes the worker runs classes 1 and 3 and dies on 1, so its
+    # death is the first error unless class 0, in this process, fails.
+    with pytest.raises(error) as raised:
+        pipeline._map_classes("diffuse", _dies_on(1, fails=fails), range(4), (), 2)
+    assert str(raised.value).startswith("class 0: " if fails else "a diffuse worker process died")
+    _assert_no_workers_left()
+
+
+def test_class_pool_result_that_does_not_pickle_fails_the_stage():
+    def task(item, *state):
+        return (lambda: item) if item == 1 else item
+
+    with pytest.raises(QuantDistillError, match="a distill worker process died"):
+        pipeline._map_classes("distill", task, range(3), (), 2)
+    _assert_no_workers_left()
 
 
 # The per-class reader.
@@ -397,7 +446,7 @@ def test_class_pool_reader_pool_is_byte_identical_to_the_serial_loop(tmp_path, m
         _spy_on_classes(monkeypatch, 3, points_type=LatentReader)
         pooled = _document(tmp_path, "pooled", distill(reader, labels, 6, 11, **settings))
     assert pooled == serial
-    assert multiprocessing.active_children() == []
+    _assert_no_workers_left()
 
 
 def _transported(tmp_path, name, result) -> bytes:
@@ -419,7 +468,7 @@ def test_class_pool_diffuse_is_byte_identical_to_the_serial_loop(tmp_path, monke
         _spy_on_classes(monkeypatch, 3, "_transport_class", type(cloud))
         pooled = _transported(tmp_path, "pooled", diffuse(result, cloud, labels, sde, 30, 3))
     assert pooled == serial
-    assert multiprocessing.active_children() == []
+    _assert_no_workers_left()
 
 
 def _write_raw_latents(path, points):
@@ -448,7 +497,7 @@ def test_class_pool_nan_in_a_later_class_names_the_file_row(tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert err == f"error: {latents}: row {row} (0-based) holds NaN or infinite entries\n"
     assert not out.exists()
-    assert multiprocessing.active_children() == []
+    _assert_no_workers_left()
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -475,7 +524,7 @@ def test_class_pool_lowest_failing_class_reports_first(tmp_path, monkeypatch, ca
         else:
             assert err == f"error: {latents}: row 35 (0-based) holds NaN or infinite entries\n"
         assert not out.exists()
-    assert multiprocessing.active_children() == []
+    _assert_no_workers_left()
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -501,7 +550,7 @@ def test_class_pool_diffuse_nan_in_two_classes_names_class_1s_row(
         f"error: {latents}: row {last_of_1} (0-based) holds NaN or infinite entries\n"
     )
     assert not out.exists()
-    assert multiprocessing.active_children() == []
+    _assert_no_workers_left()
 
 
 def test_class_pool_reader_truncated_or_overlong_payload(tmp_path, capsys):
