@@ -64,9 +64,8 @@ def cmd_distill(args) -> int:
             n_iterations=args.iterations,
         )
     latentio.save_distillation(args.out, result)
-    n_classes = len(result.classes)
     print(
-        f"distilled {points.shape[0]} points in {n_classes} classes "
+        f"distilled {points.shape[0]} points in {len(result.classes)} classes "
         f"to {args.ipc} per class -> {args.out}"
     )
     return 0
@@ -81,10 +80,9 @@ def cmd_diffuse(args) -> int:
                 f"reference points in {args.latents} have dimension {points.shape[1]}, "
                 f"but {args.distilled} has dimension {result.dim}"
             )
-        missing = [cls.label for cls in result.classes if cls.label > labels.max()]
-        if missing:
+        if len(result.classes) > labels.max() + 1:
             raise ValueError(
-                f"{args.labels}: reference data has no points for class {min(missing)}"
+                f"{args.labels}: reference data has no points for class {labels.max() + 1}"
             )
         sde = SdeSpec(args.sde, args.horizon, args.delta, args.steps)
         transported = pipeline.diffuse(result, points, labels, sde, args.mc, seed)
@@ -118,7 +116,7 @@ def cmd_train(args) -> int:
                     f"eval points in {args.eval_latents} have dimension "
                     f"{eval_points.shape[1]}, but {args.distilled} has dimension {result.dim}"
                 )
-            n_classes = max(cls.label for cls in result.classes) + 1
+            n_classes = len(result.classes)
             if eval_labels.max() >= n_classes:
                 raise ValueError(
                     f"{args.eval_labels}: eval labels name class {eval_labels.max()}, "

@@ -79,14 +79,16 @@ def render_json(obj) -> str:
 
 
 def _write_atomically(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``."""
+    """Write ``data`` beside ``path``, then rename it over ``path``; an ``OSError`` names ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -350,6 +352,8 @@ def load_labels(path, n_expected: int | None = None) -> np.ndarray:
                 raise LatentFileError(
                     f"{path}: line {number} is not an integer: {line!r}"
                 ) from None
+            except OverflowError:
+                raise LatentFileError(f"{path}: line {number} holds {line}, beyond int64") from None
     if not values.size:
         raise EmptyFile(f"{path}: no content")
     if n_expected is not None and values.shape[0] != n_expected:
@@ -389,7 +393,7 @@ class ClassQuantization:
 
 @dataclass(frozen=True)
 class DistillationResult:
-    """Per-class weighted quantization of a labeled latent cloud."""
+    """Per-class weighted quantization of a labeled latent cloud; ``classes[i]`` is class i."""
 
     seed: int
     per_class: int
@@ -400,6 +404,8 @@ class DistillationResult:
 
     def __post_init__(self):
         for i, cls in enumerate(self.classes):
+            if cls.label != i:
+                raise ValueError(f"classes[{i}].label is {cls.label}, not {i}")
             cols = cls.centroids.shape[1]
             if cols != self.dim:
                 raise ValueError(f"classes[{i}].centroids has {cols} columns, dim is {self.dim}")

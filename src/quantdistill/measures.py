@@ -164,9 +164,9 @@ class DiscreteMeasure:
 
     @classmethod
     def uniform(cls, atoms) -> "DiscreteMeasure":
-        """Equal-weight measure on the given points."""
-        atoms = as_point_array(atoms, "atoms")
-        n = atoms.shape[0]
+        """Equal-weight measure on the given points, checked once, by the constructor."""
+        atoms = np.ascontiguousarray(atoms, dtype=np.float64)
+        n = max(len(atoms), 1)  # no atoms: the constructor names the shape
         return cls(atoms, np.full(n, 1.0 / n))
 
     @classmethod

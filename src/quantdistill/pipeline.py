@@ -9,10 +9,10 @@ A latent cloud is an ``(n, d)`` array or an open ``latentio.LatentReader``.
 its eval cloud in row blocks, all through ``_gather``, so from a reader no
 stage holds more than a class or a block of the file.
 
-``distill`` and ``diffuse`` map their classes through ``_map_classes``:
-large classes are spread over the calling process and forked worker
-processes, small ones run in an in-order loop, and either way the result is
-byte for byte the same.
+``distill`` and ``diffuse`` map their classes through ``_map_classes``,
+one loop for any worker count: large classes are spread over the calling
+process and forked worker processes, small ones all run in the calling
+process, and either way the result is byte for byte the same.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .risk import (
     LipschitzFunction,
     TinyClassifier,
     WeightedDataset,
-    classification_accuracy,
     loss_and_gradient,
     train_weighted,
 )
@@ -155,19 +154,18 @@ def _quantize_class(
 # Per-class work below which a stage stays in one process. Forking one
 # worker, reading its results and reaping it takes about 7 ms in a 100 MB
 # process on a 2-vCPU host. distill's units are
-# batch_size * n_iterations * per_class * dim, and its one-process loop
-# spends about 30 ms on 2e7 of them. diffuse's are
-# n_steps * (n_mc + K) * m * dim for K centroids and m reference points per
-# class; in process one took 1.6 ns at d = 16 (3 x 300 points, 100 steps,
-# n_mc 200: 1.0e8 per class), 3.1-4.5 ns at d = 4096 (16 points, 10 steps,
-# n_mc 32: 2.8e7) and 6.0-6.7 ns at d = 4 (100 points, 100 steps, n_mc 100:
-# 4.3e6). Spread over two processes, the first two took 0.71 and 0.57 of
-# their one-process time and the third 1.02, so it stays below the floor.
+# batch_size * n_iterations * per_class * dim (about 30 ms in process for
+# 2e7), diffuse's n_steps * (n_mc + K) * m * dim for K centroids and m
+# reference points per class (1.0e8 for 300 points at d = 16, 2.8e7 for 16
+# at d = 4096, 4.3e6 for 100 at d = 4). With plain forks on that host and
+# the floor at 0, the d = 4 cloud's diffuse took 0.81-0.91 of its
+# one-process time, but its distill (2.0e5 units) 1.08-1.46 and the train
+# after them 0.96-1.15 (five alternating benchmark pairs): both stay in process.
 _POOL_FLOOR = 2e7
 
 
 def _class_workers(n_classes: int, work: float) -> int:
-    """How many processes run a stage's classes; 1 is the in-order loop.
+    """How many processes run a stage's classes; 1 runs them all in this one.
 
     ``min(n_classes, usable CPUs // BLAS threads)`` when fork and CPU
     affinity are available and the per-class ``work`` reaches the floor, so
@@ -195,19 +193,16 @@ def _map_classes(stage: str, task, items, state: tuple, workers: int) -> list:
 
     ``task`` is a module-level per-class function of ``stage`` (``distill``
     or ``diffuse``), and ``state`` starts with the cloud (a reader or an
-    array) and its labels, from which the task gathers its own class. With
-    one worker this is an in-order loop that holds one class copy at a
-    time. Otherwise ``workers`` processes share the classes: this one runs
-    every ``workers``-th class, from the first, and each of ``workers - 1``
-    forked workers inherits ``task`` and ``state``, runs the classes
-    ``first, first + workers, ...`` for its own ``first`` and pickles its
-    results back through a pipe. Results and the first error come back in
-    label order, a worker that dies raises ``QuantDistillError`` naming the
-    stage, and every worker is reaped when this returns. Either way the
-    results are the same, bit for bit.
+    array) and its labels, from which the task gathers its own class. One
+    loop serves any worker count: this process runs every ``workers``-th
+    class, from the first, and each of ``workers - 1`` forked workers
+    inherits ``task`` and ``state``, runs the classes ``first, first +
+    workers, ...`` for its own ``first`` and pickles its results back
+    through a pipe (one worker: no fork, no pipe). Results and the first
+    error come back in label order, a worker that dies raises
+    ``QuantDistillError`` naming the stage, and every worker is reaped when
+    this returns. The results are the same, bit for bit, for any count.
     """
-    if workers <= 1:
-        return [task(item, *state) for item in items]
     # This process works rather than sleeps: in benchmark runs on a 2-vCPU
     # host, a process that slept while its workers ran read its next stages
     # up to a third slower. Plain forks and pipes rather than an executor,
@@ -306,7 +301,7 @@ def build_dataset(result: DistillationResult, weight_mode: str) -> WeightedDatas
     if weight_mode not in WEIGHT_MODES:
         raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
     blocks, labels, weights = [], [], []
-    for cls in sorted(result.classes, key=lambda c: c.label):
+    for cls in result.classes:
         k = cls.centroids.shape[0]
         blocks.append(cls.centroids)
         labels.append(np.full(k, cls.label, dtype=np.intp))
@@ -343,20 +338,17 @@ def diffuse(
     if not isinstance(ref_points, LatentReader):
         ref_points = np.ascontiguousarray(ref_points, dtype=np.float64)
     if len(ref_points.shape) != 2 or ref_points.shape[1] != result.dim:
-        raise DimensionError(
-            f"reference points must have dimension {result.dim}"
-        )
+        raise DimensionError(f"reference points must have dimension {result.dim}")
     ref_labels = as_label_array(ref_labels, ref_points.shape[0])
     test_fn = LipschitzFunction.distance_to(np.zeros(result.dim))
-    classes = sorted(result.classes, key=lambda c: c.label)
     largest = int(np.bincount(ref_labels).max())
     work = sde.n_steps * (n_mc + result.per_class) * largest * result.dim
     transported = _map_classes(
         "diffuse",
         _transport_class,
-        classes,
+        result.classes,
         (ref_points, ref_labels, sde, test_fn, n_mc, seed),
-        _class_workers(len(classes), work),
+        _class_workers(len(result.classes), work),
     )
     return TransportedResult(
         seed=int(seed),
@@ -372,8 +364,7 @@ def _transport_class(cls, points, labels, sde, test_fn, n_mc, seed) -> ClassTran
     rows = np.flatnonzero(labels == cls.label)
     if rows.size == 0:
         raise ValueError(f"reference data has no points for class {cls.label}")
-    class_points = _gather(points, rows)
-    ref = ReferenceLaw(DiscreteMeasure.uniform(class_points))
+    ref = ReferenceLaw(DiscreteMeasure.uniform(_gather(points, rows)))
     quantized = DiscreteMeasure.from_unnormalized(cls.centroids, cls.weights)
     transported, report = transport_quantization(
         ref, sde, quantized, test_fn, n_mc, class_subseed(seed, cls.label)
@@ -416,15 +407,15 @@ def train(
     Starts from ``init_parameters(seed)``. Returns the classifier and a
     report with the trained ``theta``, the final weighted loss, the accuracy
     on the distilled points, and, when an evaluation cloud is supplied, the
-    accuracy there. ``eval_points`` and
+    accuracy there, both scored by ``_eval_accuracy``. ``eval_points`` and
     ``eval_labels`` go together: giving one without the other raises
     ``ValueError``. Both are checked before the first epoch: points of
     another dimension than the distillation's raise ``DimensionError``, and
     a label naming a class the distillation lacks raises ``ValueError``.
-    ``eval_points`` is an array or an open ``LatentReader``. Either way the
-    accuracy is scored over row blocks of about 4 MB (``_eval_accuracy``),
-    and each row's finiteness is checked once, as its block is read, so a
-    non-finite row is found after the epochs.
+    ``eval_points`` is an array or an open ``LatentReader``. Either way its
+    accuracy is scored over row blocks of about 4 MB, and each row's
+    finiteness is checked once, as its block is read, so a non-finite row is
+    found after the epochs.
 
     Gradient descent never moves the first weight block out of the span of
     the distilled points, since its gradient is ``X.T @ dZ``. So the run
@@ -463,7 +454,7 @@ def train(
         epochs=epochs,
     )
     final_loss, _ = loss_and_gradient(classifier, dataset, theta)
-    train_accuracy = classification_accuracy(classifier, dataset.points, dataset.labels, theta)
+    train_accuracy = _eval_accuracy(classifier, theta, dataset.points, dataset.labels)
     eval_accuracy = None
     if eval_points is not None:
         eval_accuracy = _eval_accuracy(classifier, theta, eval_points, eval_labels)
@@ -488,10 +479,12 @@ _EVAL_BLOCK_BYTES = 1 << 22
 def _eval_accuracy(classifier: TinyClassifier, theta, points, labels) -> float:
     """``classification_accuracy`` on a cloud given as an array or a ``LatentReader``.
 
-    Row blocks of about ``_EVAL_BLOCK_BYTES`` are gathered in order, from a
-    reader into one reused buffer, and scored by one forward pass each; a
-    block's rows are checked finite as they are gathered and not again. The
-    result is ``correct / n``, the float ``np.mean(predicted == labels)`` gives.
+    ``train`` scores both its accuracies here, on the distilled points and on
+    the eval cloud. Row blocks of about ``_EVAL_BLOCK_BYTES`` are gathered in
+    order, from a reader into one reused buffer, and scored by one forward
+    pass each; a block's rows are checked finite as they are gathered and not
+    again. The result is ``correct / n``, the float ``np.mean(predicted ==
+    labels)`` gives.
     """
     n, d = points.shape
     step = max(1, _EVAL_BLOCK_BYTES // (8 * d))

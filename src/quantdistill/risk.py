@@ -289,9 +289,11 @@ def train_weighted(
             break
         step = learning_rate
         for _ in range(MAX_BACKTRACKS):
-            candidate = theta - step * grad
             try:
-                cand_loss, cand_grad = loss_and_gradient(classifier, data, candidate)
+                # A long trial step may overflow: rejected by the finiteness check, unwarned.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    candidate = theta - step * grad
+                    cand_loss, cand_grad = loss_and_gradient(classifier, data, candidate)
             except NonFiniteLoss:
                 pass
             else:

@@ -346,6 +346,41 @@ def test_load_labels_names_the_line_of_the_first_negative_label(tmp_path):
         load_labels(path)
 
 
+@pytest.mark.parametrize("line", ["99999999999999999999", "-99999999999999999999"])
+def test_labels_beyond_int64_name_the_file_and_line(tmp_path, capsys, line):
+    latents, labels_path = write_demo_files(tmp_path)
+    lines = labels_path.read_text().splitlines()
+    lines[5] = line
+    labels_path.write_text("\n".join(lines) + "\n")
+    message = f"{labels_path}: line 6 holds {line}, beyond int64"
+    with pytest.raises(LatentFileError) as info:
+        load_labels(labels_path)
+    assert str(info.value) == message
+
+    out = tmp_path / "distilled.json"
+    status = cli.main([
+        "distill", "--latents", str(latents), "--labels", str(labels_path),
+        "--ipc", "3", "--out", str(out),
+    ])
+    assert status == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_out_in_a_missing_directory_names_the_requested_path(tmp_path, capsys):
+    latents, labels_path = write_demo_files(tmp_path)
+    out = tmp_path / "missing_dir" / "o.json"
+    status = cli.main([
+        "distill", "--latents", str(latents), "--labels", str(labels_path),
+        "--ipc", "3", "--out", str(out),
+    ])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith(f": {str(out)!r}") and ".tmp" not in err
+    assert sorted(os.listdir(tmp_path)) == ["labels.txt", "latents.bin"]
+
+
 def test_cli_distill_names_the_nonfinite_row(tmp_path, capsys):
     latents, labels_path = write_demo_files(tmp_path)
     points = load_latents(latents)
@@ -936,6 +971,55 @@ def test_diffuse_needs_reference_points_for_every_distilled_class(tmp_path, caps
     assert status == 2
     err = capsys.readouterr().err
     assert f"error: {labels_path}: reference data has no points for class 2" in err
+    assert not out.exists()
+
+
+# Class labels of a three-class distillation, each breaking the order 0, 1, 2.
+CLASS_ORDER_FAULTS = {"repeated": [0, 0, 2], "skipped": [0, 2, 3], "out_of_order": [2, 0, 1]}
+
+
+def three_class_files(tmp_path):
+    """A three-class cloud's latent and label files and its saved distillation."""
+    points, labels = demo_dataset(0, n_per_class=40, n_classes=3)
+    latents, labels_path = tmp_path / "ref.bin", tmp_path / "ref_labels.txt"
+    distilled = tmp_path / "distilled.json"
+    save_latents(latents, points)
+    save_labels(labels_path, labels)
+    save_distillation(distilled, distill(points, labels, 3, 0))
+    return latents, labels_path, distilled
+
+
+@pytest.mark.parametrize("form", ["list", "binary"])
+@pytest.mark.parametrize("fault", sorted(CLASS_ORDER_FAULTS))
+def test_distillation_classes_must_be_labelled_in_order(tmp_path, fault, form):
+    labels = CLASS_ORDER_FAULTS[fault]
+    _, _, path = three_class_files(tmp_path)
+
+    def relabel(doc):
+        for cls, label in zip(doc["classes"], labels):
+            cls["label"] = label
+
+    edit_document(path, relabel, form)
+    first = next(i for i, label in enumerate(labels) if label != i)
+    with pytest.raises(LatentFileError) as info:
+        load_distillation(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: malformed quantdistill.distillation document")
+    assert f"classes[{first}].label is {labels[first]}" in message
+
+
+def test_cli_diffuse_refuses_a_distillation_that_repeats_a_class(tmp_path, capsys):
+    latents, labels_path, distilled = three_class_files(tmp_path)
+    edit_document(distilled, lambda doc: doc["classes"][1].update(label=0), "binary")
+    out = tmp_path / "transported.json"
+    status = cli.main([
+        "diffuse", "--distilled", str(distilled), "--latents", str(latents),
+        "--labels", str(labels_path), "--steps", "10", "--mc", "20", "--out", str(out),
+    ])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {distilled}: ") and err.count("\n") == 1
+    assert "classes[1].label is 0" in err
     assert not out.exists()
 
 

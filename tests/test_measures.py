@@ -324,6 +324,27 @@ def test_measure_rejects_bad_atoms():
         DiscreteMeasure.uniform(np.empty((0, 2)))
 
 
+def test_uniform_measure_checks_its_atoms_once(monkeypatch):
+    checked = []
+
+    def all_finite(arr):
+        if arr.ndim == 2:
+            checked.append(arr.shape)
+        return np.isfinite(arr).all()
+
+    monkeypatch.setattr(measures, "_all_finite", all_finite)
+    mu = DiscreteMeasure.uniform(np.arange(6.0).reshape(3, 2))
+    assert checked == [(3, 2)]
+    np.testing.assert_array_equal(mu.weights, np.full(3, 1.0 / 3))
+    for atoms, message in (
+        (np.array([1.0, 2.0]), r"atoms must be a 2-d array, got shape \(2,\)"),
+        (np.empty((0, 2)), r"atoms must be nonempty in both axes, got shape \(0, 2\)"),
+        ([[0.0], [np.nan]], "atoms must be finite"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DiscreteMeasure.uniform(atoms)
+
+
 def test_measure_allows_zero_weights():
     mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
     assert mu.n_atoms == 2

@@ -247,6 +247,19 @@ def test_classification_accuracy_checks_its_labels(labels, message):
         classification_accuracy(clf, points, labels, clf.init_parameters(0))
 
 
+def test_train_weighted_rejects_overflowing_trial_steps_without_warnings():
+    # At a step of 1e308 every trial's logits overflow, even after the last
+    # halving; the finiteness check rejects each one, with no RuntimeWarning,
+    # and training stops where it started.
+    rng = np.random.default_rng(45)
+    points = np.vstack([rng.normal(size=(15, 3)) - 2.0, rng.normal(size=(15, 3)) + 2.0])
+    data = WeightedDataset(points, np.repeat([0, 1], 15), np.ones(30))
+    clf = TinyClassifier(3, 2)
+    start = clf.init_parameters(0)
+    theta = train_weighted(clf, data, start, learning_rate=1e308, epochs=3)
+    np.testing.assert_array_equal(theta, start)
+
+
 def test_train_weighted_resumes_from_the_given_theta():
     points = np.array([[-1.0, 0.0], [1.0, 0.0]])
     labels = np.array([0, 1], dtype=np.intp)
