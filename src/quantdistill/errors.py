@@ -40,6 +40,10 @@ class NonFiniteLoss(QuantDistillError):
     """Training produced a NaN or infinite loss or gradient."""
 
 
+class NoStepAccepted(QuantDistillError):
+    """Training's first epoch accepted no step at any backtracked step size."""
+
+
 class LatentFileError(QuantDistillError):
     """Base class for structural problems in on-disk inputs."""
 

@@ -10,8 +10,9 @@ from one helper, ``_nearest``, behind the Voronoi pass (which yields the
 assignment, the nearest squared distances, the cell masses and means, and
 the distortion together) and mini-batch k-means. Its decision is always
 ``cdist``'s ``argmin``, with that entry's bits; where the centroids hold
-many coordinates (K·d from ``_SCREEN_FLOOR`` up), one GEMM screens it first
-and a rounding bound decides where the screen may stand in for ``cdist``.
+many coordinates (K·d from ``_SCREEN_FLOOR`` up, K from
+``_SCREEN_MIN_CENTROIDS`` up), one GEMM screens it first and a rounding
+bound decides where the screen may stand in for ``cdist``.
 Every softmax and log-sum-exp over logits, in the score and the training
 loss, is one in-place NumPy routine, ``_softmax_rows``.
 Nearest-centroid ties always resolve to the lowest centroid index so that
@@ -99,7 +100,12 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     One ``cdist`` call, which differences each pair directly rather than using
     the norm-expansion identity and allocates only the (n, K) output. So an
     entry depends only on its own pair of rows: equal rows give exactly 0, and
-    exact ties in the inputs stay exact in the output.
+    exact ties in the inputs stay exact in the output. Since (a − c)² =
+    (c − a)², swapping the arguments transposes the output bit for bit; the
+    package's callers that reduce over centroids pass the centroids first,
+    so each reduction runs down a (K, n) matrix's columns, where ``cdist``
+    and NumPy's ``min`` and ``argmin`` are several times faster at few
+    centroids.
     """
     return cdist(points, centroids, "sqeuclidean")
 
@@ -256,26 +262,58 @@ def _check_same_dim(a_dim: int, b_dim: int) -> None:
         raise DimensionError(f"dimension mismatch: {a_dim} vs {b_dim}")
 
 
-def _nearest_by_cdist(atoms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One ``squared_distances`` pass, its argmin (ties low) and the entries read there."""
-    d2 = squared_distances(atoms, centroids)
-    assignment = np.argmin(d2, axis=1)
-    return assignment, np.take_along_axis(d2, assignment[:, None], axis=1)[:, 0]
+def _nearest_by_cdist(
+    atoms: np.ndarray, centroids: np.ndarray, previous: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One centroid-major ``squared_distances`` pass, its argmin over the
+    centroids (ties low) and the entries read there.
+
+    With ``previous``, an atom keeps its previous centroid where that entry
+    lies strictly below the column ``min`` over every other centroid, which
+    makes it the unique minimum; only the other atoms (moved, tied, NaN or
+    infinite) take an ``argmin``. A column ``min`` costs a fraction of an
+    ``argmin``, so a warm start pays where few atoms move.
+    """
+    d2 = squared_distances(centroids, atoms)
+    if previous is None:
+        assignment = np.argmin(d2, axis=0)
+        return assignment, d2[assignment, np.arange(atoms.shape[0])]
+    n = atoms.shape[0]
+    held = previous * n + np.arange(n)  # flat index of entry (previous[i], i)
+    own = d2.take(held)
+    d2.put(held, np.inf)
+    moved = np.flatnonzero(~(own < d2.min(axis=0)))
+    assignment = previous.copy()
+    if moved.size:
+        d2.put(held[moved], own[moved])
+        rest = d2[:, moved]
+        assignment[moved] = np.argmin(rest, axis=0)
+        own[moved] = rest[assignment[moved], np.arange(moved.size)]
+    return assignment, own
 
 
-# Centroid coordinates (K·d) from which ``_nearest`` screens by GEMM; below
-# it one ``cdist`` pass is cheaper. Timed on 64 clustered atoms, one BLAS
-# thread, 2-vCPU host, as a share of ``cdist``'s time: 7-8x at d <= 16,
-# 0.85-1.41 at K·d = 16 384 and 0.54-1.05 at 32 768 for d = 64-4096 (1.32
-# at K = 4, d = 8192), 0.62 at K = 10, d = 4096, and 0.29 at K = 50.
+# Centroid coordinates (K·d) and centroids (K) from which ``_nearest``
+# screens by GEMM; below either one centroid-major ``cdist`` pass is cheaper.
+# Timed on 64 clustered atoms, one BLAS thread, 2-vCPU host, as a share of
+# that pass's time: 9-17x at d <= 16, 0.86-1.53 at K·d = 16 384 and
+# 0.67-0.93 at 32 768 for d = 64-4096, 0.75 at K = 10, d = 4096, and 0.39 at
+# K = 50. At d = 4096-16 384 few centroids lose however large K·d is:
+# 1.31-1.49 at K = 4, 1.18-1.33 at K = 5, 1.04-1.11 at K = 6, 1.01-1.05 at
+# K = 7, then 0.63-0.78 at K = 8.
 _SCREEN_FLOOR = 32_768
+_SCREEN_MIN_CENTROIDS = 8
 
 
-def _nearest(atoms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(
+    atoms: np.ndarray, centroids: np.ndarray, previous: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per atom and its squared distance: ``cdist``'s argmin and bits.
 
-    Below ``_SCREEN_FLOOR`` it is ``_nearest_by_cdist``. From the floor
-    up, one GEMM screens every atom x: ``‖c‖² − 2x·c`` is its
+    Below ``_SCREEN_FLOOR`` or ``_SCREEN_MIN_CENTROIDS`` it is
+    ``_nearest_by_cdist``, warm-started from ``previous`` (each atom's
+    earlier centroid) when given; any ``previous`` gives the same result,
+    only faster where it is right. From both floors up, ``previous`` is
+    unused and one GEMM screens every atom x: ``‖c‖² − 2x·c`` is its
     squared distance to c less ``‖x‖²``, which no comparison needs. The
     screen's best centroid gets its squared distance from one
     ``squared_distances`` call per winning centroid; a ``cdist`` entry
@@ -292,8 +330,8 @@ def _nearest(atoms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
     ``cdist`` pass.
     """
     k, d = centroids.shape
-    if k * d < _SCREEN_FLOOR:
-        return _nearest_by_cdist(atoms, centroids)
+    if k * d < _SCREEN_FLOOR or k < _SCREEN_MIN_CENTROIDS:
+        return _nearest_by_cdist(atoms, centroids, previous)
     rows = np.arange(atoms.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
@@ -322,10 +360,16 @@ def _nearest(atoms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _partition(
-    atoms: np.ndarray, weights: np.ndarray, centroids: np.ndarray
+    atoms: np.ndarray,
+    weights: np.ndarray,
+    centroids: np.ndarray,
+    previous: np.ndarray | None = None,
 ) -> VoronoiPartition:
-    """The Voronoi pass on arrays; sums run in atom-index order, so bits reproduce."""
-    assignment, nearest_sq = _nearest(atoms, centroids)
+    """The Voronoi pass on arrays; sums run in atom-index order, so bits reproduce.
+
+    ``previous`` is an earlier assignment that warm-starts ``_nearest``.
+    """
+    assignment, nearest_sq = _nearest(atoms, centroids, previous)
     k = centroids.shape[0]
     mass = np.bincount(assignment, weights=weights, minlength=k)
     means = np.full((k, atoms.shape[1]), np.nan)

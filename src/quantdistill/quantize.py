@@ -158,7 +158,8 @@ def init_grid(mu: DiscreteMeasure, n_centroids: int, seed) -> QuantizationGrid:
     probability proportional to weight times squared distance to the nearest
     chosen centroid (Arthur & Vassilvitskii, *k-means++*, 2007), which
     spreads seeds across separated modes. Each pick is one inverse-CDF
-    lookup; K-1 distance passes serve them.
+    lookup; K-1 distance passes serve them, each one (1, n) row from the
+    newest centroid to every atom.
 
     Parameters
     ----------
@@ -189,7 +190,7 @@ def init_grid(mu: DiscreteMeasure, n_centroids: int, seed) -> QuantizationGrid:
         chosen[k] = _inverse_cdf(cdf, rng.random() * cdf[-1])
         if k + 1 == n_centroids:
             break
-        step = squared_distances(atoms, atoms[chosen[k]][None, :])[:, 0]
+        step = squared_distances(atoms[chosen[k]][None, :], atoms)[0]
         np.minimum(d2, step, out=d2)
         scores = weights * d2
     return QuantizationGrid(atoms[chosen].copy())
@@ -359,16 +360,21 @@ def _augment_grid(
 ) -> np.ndarray | None:
     """Add ``extra`` centroids at the currently worst-served atoms.
 
-    Returns None when the atoms run out before ``extra`` are placed.
+    One nearest pass, then each added centroid lowers the atoms' nearest
+    squared distances by its own row of distances. A minimum is exact in
+    any order, so each pick is the one a full pass against the grown grid
+    would make. Returns None when the atoms run out before ``extra`` are
+    placed.
     """
-    grown = centroids
+    _, nearest_sq = _nearest(atoms, centroids)
+    picks = []
     for _ in range(extra):
-        try:
-            worst = _worst_served_atom(atoms, grown)
-        except InsufficientPoints:
+        worst = int(np.argmax(nearest_sq))
+        if nearest_sq[worst] <= 0.0:
             return None
-        grown = np.vstack([grown, atoms[worst]])
-    return grown
+        picks.append(worst)
+        np.minimum(nearest_sq, squared_distances(atoms[worst][None, :], atoms)[0], out=nearest_sq)
+    return np.vstack([centroids, atoms[picks]])
 
 
 def lloyd(mu: DiscreteMeasure, init: QuantizationGrid) -> LloydFit:
@@ -380,6 +386,11 @@ def lloyd(mu: DiscreteMeasure, init: QuantizationGrid) -> LloydFit:
     that atom and costs nothing elsewhere, so the distortion never increases
     (checked every iteration). Stops when the largest centroid displacement
     is at most ``LLOYD_DEFAULT_TOL`` or after ``LLOYD_DEFAULT_MAX_ITERATIONS``.
+
+    Each Voronoi pass is warm-started from the previous assignment, which
+    changes its cost, never its result. An update that reproduces every
+    centroid bit for bit would make the next pass repeat the last one, so
+    the run appends the same distortion and stops without it.
     """
     _check_same_dim(mu.dim, init.dim)
     atoms, weights = mu.atoms, mu.weights
@@ -395,9 +406,14 @@ def lloyd(mu: DiscreteMeasure, init: QuantizationGrid) -> LloydFit:
         for j in np.flatnonzero(~nonempty):
             new_x[j] = atoms[_worst_served_atom(atoms, new_x)]
             resolved += 1
+        if np.array_equal(new_x, x):
+            # Equal values give equal distances, so the same partition.
+            x, displacement = new_x, 0.0
+            history.append(history[-1])
+            break
         displacement = float(np.sqrt(((new_x - x) ** 2).sum(axis=1).max()))
         x = new_x
-        part = _partition(atoms, weights, x)
+        part = _partition(atoms, weights, x, part.assignment)
         if part.distortion > history[-1] + 1e-12 * (1.0 + history[-1]):
             raise QuantDistillError(
                 f"Lloyd distortion rose from {history[-1]!r} to {part.distortion!r}"

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteLoss
+from .errors import DimensionError, NonFiniteLoss, NoStepAccepted
 from .measures import (
     DiscreteMeasure,
     _all_finite,
@@ -103,7 +103,7 @@ class LipschitzFunction:
         if self.dim is not None:
             _check_same_dim(batch.shape[1], self.dim)
         if self.kind == "distance_to_point":
-            return np.sqrt(squared_distances(batch, self.anchor[None, :])[:, 0])
+            return np.sqrt(squared_distances(self.anchor[None, :], batch)[0])
         if self.kind == "max_affine":
             return (batch @ self.slopes.T + self.offsets).max(axis=1)
         return np.full(batch.shape[0], self.value)
@@ -274,8 +274,15 @@ def train_weighted(
 
     Starts from ``theta``. Each epoch evaluates the exact weighted gradient,
     then halves the step from ``learning_rate`` until the Armijo decrease
-    condition holds; training stops early at a zero gradient or when no step
-    is accepted. The run is deterministic. Returns the trained parameters.
+    condition holds; training stops early at a zero gradient or when a later
+    epoch accepts no step. The run is deterministic. Returns the trained
+    parameters.
+
+    Raises
+    ------
+    NoStepAccepted
+        If the first epoch accepts no step in ``MAX_BACKTRACKS`` halvings,
+        which would return the start untrained.
     """
     if not (np.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError("learning_rate must be finite and positive")
@@ -283,7 +290,7 @@ def train_weighted(
         raise ValueError("epochs must be positive")
     theta = np.array(theta, dtype=np.float64)
     loss, grad = loss_and_gradient(classifier, data, theta)
-    for _ in range(epochs):
+    for epoch in range(epochs):
         sq_norm = float(np.dot(grad, grad))
         if sq_norm == 0.0:
             break
@@ -302,6 +309,11 @@ def train_weighted(
                     break
             step *= 0.5
         else:
+            if epoch == 0:
+                raise NoStepAccepted(
+                    f"training accepted no step: {MAX_BACKTRACKS} halvings of "
+                    f"learning_rate {learning_rate!r} all failed the first epoch"
+                )
             break
     return theta
 

@@ -21,7 +21,6 @@ from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from .diffusion import (
     STDERR_SIGMAS,
@@ -399,6 +398,10 @@ def check_score_monotonicity(seed: int) -> list[CheckRecord]:
 
 
 def check_explicit_constant_quadrature(seed: int) -> list[CheckRecord]:
+    # Imported here, not at the top: ``cli`` imports this module for every
+    # command, and only this check integrates.
+    from scipy.integrate import quad
+
     rng = _rng(seed, 9)
     worst = 0.0
     for trial in range(20):

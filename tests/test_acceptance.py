@@ -8,6 +8,9 @@ lines themselves appear in the captured output on failure.
 
 import ast
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -318,6 +321,17 @@ def test_package_does_not_import_scipy_special():
         if name == "scipy.special" or name.startswith("scipy.special.")
     ]
     assert not found, found
+
+
+def test_cli_does_not_import_scipy_integrate():
+    # Only the quadrature check integrates, and it imports SciPy's
+    # integrator itself, so no command pays for that import at start-up.
+    probe = "import sys, quantdistill.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(quantdistill.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["False"], run.stderr
 
 
 def test_public_api_lists_exactly_what_the_package_imports():

@@ -1142,6 +1142,21 @@ def test_cli_train_rejects_a_nonfinite_learning_rate(tmp_path, capsys, rate):
     assert not report.exists()
 
 
+def test_cli_train_fails_when_no_step_is_accepted(tmp_path, capsys):
+    # Every trial step of 1e308 overflows, so the first epoch accepts none.
+    points, labels = demo_dataset(0, 40, 2)
+    path = tmp_path / "d.json"
+    save_distillation(path, distill(points, labels, 3, 0))
+    report = tmp_path / "r.json"
+    status = cli.main(
+        ["train", "--distilled", str(path), "--lr", "1e308", "--epochs", "3",
+         "--out", str(report)]
+    )
+    assert status == 2
+    assert "learning_rate 1e+308" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_cli_distill_rejects_negative_batch_settings(tmp_path, capsys):
     latents, labels_path = write_demo_files(tmp_path)
     out = tmp_path / "distilled.json"

@@ -173,18 +173,22 @@ def test_partition_matches_a_brute_force_pass(cloud):
     assert doubled.distortion == part.distortion
 
 
-def _screened_nearest(monkeypatch, atoms, centroids, floor=None):
-    """``measures._nearest`` with the rows its ``cdist`` fallback took, per call."""
+def _screened_nearest(monkeypatch, atoms, centroids, screen_all=False):
+    """``measures._nearest`` with the rows its ``cdist`` fallback took, per call.
+
+    ``screen_all`` lowers both screen floors to 0, so every shape screens.
+    """
     exact, fallback_rows = measures._nearest_by_cdist, []
 
-    def counted(rows, grid):
+    def counted(rows, grid, previous=None):
         fallback_rows.append(rows.shape[0])
-        return exact(rows, grid)
+        return exact(rows, grid, previous)
 
     with monkeypatch.context() as patch:
         patch.setattr(measures, "_nearest_by_cdist", counted)
-        if floor is not None:
-            patch.setattr(measures, "_SCREEN_FLOOR", floor)
+        if screen_all:
+            patch.setattr(measures, "_SCREEN_FLOOR", 0)
+            patch.setattr(measures, "_SCREEN_MIN_CENTROIDS", 0)
         assignment, nearest_sq = measures._nearest(atoms, centroids)
     return assignment, nearest_sq, fallback_rows
 
@@ -252,7 +256,7 @@ def test_screened_nearest_takes_overflowing_rows_to_cdist(monkeypatch, centroid_
 def test_screened_nearest_with_one_centroid(monkeypatch):
     rng = np.random.default_rng(930)
     atoms, centroid = rng.normal(size=(50, 16)), rng.normal(size=(1, 16))
-    got = _screened_nearest(monkeypatch, atoms, centroid, floor=0)
+    got = _screened_nearest(monkeypatch, atoms, centroid, screen_all=True)
     _assert_same_as_brute(got[:2], atoms, centroid)
     assert not got[0].any() and got[2] == []
 
@@ -263,8 +267,36 @@ def test_screened_nearest_with_one_centroid(monkeypatch):
 def test_screened_nearest_matches_cdist_on_small_clouds_with_exact_ties(monkeypatch, cloud):
     # Small-integer coordinates tie exactly; tiny floats underflow.
     atoms, _, centroids = cloud
-    got = _screened_nearest(monkeypatch, atoms, centroids, floor=0)
+    got = _screened_nearest(monkeypatch, atoms, centroids, screen_all=True)
     _assert_same_as_brute(got[:2], atoms, centroids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_clouds(), st.data())
+def test_warm_started_nearest_is_the_cold_argmin_for_any_previous(cloud, data):
+    # Any previous assignment, a wrong one or one on a duplicate centroid
+    # too, leaves the result cdist's argmin (ties low) with that entry's bits.
+    atoms, _, centroids = cloud
+    k = centroids.shape[0]
+    previous = data.draw(hnp.arrays(np.intp, atoms.shape[0], elements=st.integers(0, k - 1)))
+    duplicated = np.vstack([centroids, centroids])
+    for grid, hint in ((centroids, previous), (duplicated, previous + k)):
+        kept = hint.copy()
+        _assert_same_as_brute(measures._nearest(atoms, grid, hint), atoms, grid)
+        np.testing.assert_array_equal(hint, kept)
+
+
+@pytest.mark.parametrize("k, d, screened", [(4, 8192, False), (7, 8192, False), (8, 4096, True)])
+def test_few_centroids_take_cdist_at_any_dimension(monkeypatch, k, d, screened):
+    # Below eight centroids the screen is slower than one cdist pass even
+    # where K·d passes its floor, so the whole batch takes that pass.
+    rng = np.random.default_rng(950 + k)
+    centroids = 3.0 * rng.normal(size=(k, d))
+    atoms = centroids[rng.integers(0, k, 64)] + rng.normal(size=(64, d))
+    assert k * d >= measures._SCREEN_FLOOR
+    got = _screened_nearest(monkeypatch, atoms, centroids)
+    _assert_same_as_brute(got[:2], atoms, centroids)
+    assert got[2] == ([] if screened else [64])
 
 
 @pytest.mark.parametrize("d", [3, 16, 4096])

@@ -6,12 +6,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from quantdistill import measures, pipeline, quantize
 from quantdistill.errors import EmptyCluster, InsufficientPoints, QuantDistillError
 from quantdistill.measures import (
     DiscreteMeasure,
     QuantizationGrid,
+    VoronoiPartition,
     quadratic_distortion,
     squared_distances,
     voronoi_partition,
@@ -220,9 +224,9 @@ def test_minibatch_kmeans_at_ipc_50_is_byte_identical_on_the_screened_route(monk
     assert 50 * 1024 >= measures._SCREEN_FLOOR
     fallback_rows = []
 
-    def counted(rows, grid):
+    def counted(rows, grid, previous=None):
         fallback_rows.append(rows.shape[0])
-        return exact(rows, grid)
+        return exact(rows, grid, previous)
 
     exact = measures._nearest_by_cdist
     monkeypatch.setattr(measures, "_nearest_by_cdist", counted)
@@ -350,7 +354,120 @@ def test_lloyd_makes_one_distance_pass_per_iteration(monkeypatch, case):
     mu = DiscreteMeasure.uniform(atoms)
     fit = lloyd(mu, QuantizationGrid(start))
     assert (case == "reseed") == (fit.empty_cells_resolved > 0)
-    assert len(calls) == 1 + fit.n_iterations + fit.empty_cells_resolved
+    # Both runs end on an update that reproduces the grid bit for bit: its
+    # distortion repeats, and the pass that would repeat is not made.
+    assert len(calls) == fit.n_iterations + fit.empty_cells_resolved
+    assert fit.distortion_history[-1] == fit.distortion_history[-2]
+    part = voronoi_partition(mu, fit.grid)
+    assert part.cell_centroid.tobytes() == fit.grid.centroids.tobytes()
+
+
+def _reference_lloyd(mu, start):
+    """Lloyd as a plain loop: one row-major ``cdist`` pass and ``argmin`` per update.
+
+    The same updates, reseeds, sums, stopping rule and checks as ``lloyd``,
+    with no warm start and no skipped pass.
+    """
+    atoms, weights = mu.atoms, mu.weights
+    rows = np.arange(atoms.shape[0])
+
+    def partition(x):
+        d2 = cdist(atoms, x, "sqeuclidean")
+        assignment = np.argmin(d2, axis=1)
+        nearest_sq = d2[rows, assignment]
+        mass = np.bincount(assignment, weights=weights, minlength=x.shape[0])
+        means = np.full(x.shape, np.nan)
+        nonempty = mass > 0
+        for axis in range(x.shape[1]):
+            sums = np.bincount(assignment, weights=weights * atoms[:, axis], minlength=x.shape[0])
+            means[nonempty, axis] = sums[nonempty] / mass[nonempty]
+        return VoronoiPartition(assignment, nearest_sq, mass, means, float(np.dot(weights, nearest_sq)))
+
+    x = start.centroids.copy()
+    part = partition(x)
+    history, resolved = [part.distortion], 0
+    for _ in range(quantize.LLOYD_DEFAULT_MAX_ITERATIONS):
+        nonempty = part.cell_mass > 0
+        new_x = np.where(nonempty[:, None], part.cell_centroid, x)
+        for j in np.flatnonzero(~nonempty):
+            nearest = cdist(atoms, new_x, "sqeuclidean").min(axis=1)
+            if nearest.max() <= 0.0:
+                raise InsufficientPoints("every atom already sits on a centroid")
+            new_x[j] = atoms[np.argmax(nearest)]
+            resolved += 1
+        displacement = float(np.sqrt(((new_x - x) ** 2).sum(axis=1).max()))
+        x = new_x
+        part = partition(x)
+        if part.distortion > history[-1] + 1e-12 * (1.0 + history[-1]):
+            raise QuantDistillError("distortion rose")
+        history.append(part.distortion)
+        if displacement <= quantize.LLOYD_DEFAULT_TOL:
+            break
+    converged = displacement <= quantize.LLOYD_DEFAULT_TOL
+    return quantize.LloydFit(
+        QuantizationGrid(x), part, len(history) - 1, converged, np.asarray(history), resolved
+    )
+
+
+def _lloyd_outcome(run, mu, start):
+    """Every ``LloydFit`` field as bytes, or the type of the error raised."""
+    try:
+        # Rows near 1e154 overflow the displacement's sum on either side.
+        with np.errstate(over="ignore"):
+            fit = run(mu, start)
+    except (QuantDistillError, ValueError) as exc:
+        return type(exc)
+    fields = [fit.grid.centroids, fit.distortion_history, *dataclasses.astuple(fit.partition)]
+    arrays = [np.asarray(value) for value in fields]
+    return (
+        [(arr.dtype, arr.shape, arr.tobytes()) for arr in arrays],
+        fit.n_iterations, fit.converged, fit.empty_cells_resolved,
+    )
+
+
+@st.composite
+def lloyd_instances(draw):
+    """A weighted cloud and a start grid, built from a drawn seed.
+
+    Shapes fall on both sides of ``measures._SCREEN_FLOOR``. A lattice of
+    small integers with half-integer starts ties exactly, start centroids
+    moved far off leave empty cells to reseed, and rows scaled to 1e154
+    have infinite squared distances.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, d = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (4, 2), (6, 2), (5, 3), (8, 16),
+                                 (8, 4096), (16, 2048)]))
+    n = draw(st.integers(k, 40))
+    layout = draw(st.sampled_from(["normal", "lattice", "huge"]))
+    if layout == "lattice":
+        atoms = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        start = rng.integers(0, 5, size=(k, d)) / 2.0
+    else:
+        atoms = rng.normal(size=(n, d))
+        start = rng.normal(size=(k, d))
+    if layout == "huge":
+        atoms[rng.random(n) < 0.3] *= 1e154
+    if draw(st.booleans()):
+        start[rng.random(k) < 0.5] += 1e3
+    weights = rng.random(n) if draw(st.booleans()) else np.ones(n)
+    return DiscreteMeasure.from_unnormalized(atoms, weights), QuantizationGrid(
+        np.unique(start, axis=0)
+    )
+
+
+# After one update from either start, the atom at 1 lies exactly halfway
+# between centroids at 0 and 2: it ties, its previous centroid the higher
+# index in one start and the lower in the other.
+_TIED = DiscreteMeasure.uniform(np.array([[0.0], [1.0], [3.0]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lloyd_instances())
+@example((_TIED, QuantizationGrid(np.array([[0.0], [1.2]]))))
+@example((_TIED, QuantizationGrid(np.array([[1.2], [0.0]]))))
+def test_warm_started_lloyd_equals_the_plain_loop_bit_for_bit(instance):
+    mu, start = instance
+    assert _lloyd_outcome(lloyd, mu, start) == _lloyd_outcome(_reference_lloyd, mu, start)
 
 
 @pytest.mark.parametrize("case", list(LLOYD_CASES))
@@ -411,6 +528,29 @@ def test_best_lloyd_ties_go_to_the_earliest_start():
         best_lloyd(mu, [])
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("extra", [1, 6, 20])
+def test_augment_grid_picks_what_a_full_pass_per_pick_picks(seed, extra):
+    # A 4 x 4 lattice ties exactly and runs out of uncovered atoms at 20.
+    rng = np.random.default_rng(60 + seed)
+    if seed % 2:
+        atoms = rng.integers(0, 4, size=(60, 2)).astype(np.float64)
+    else:
+        atoms = rng.normal(size=(60, 2))
+    centroids = atoms[:3].copy()
+    expected = centroids
+    try:
+        for _ in range(extra):
+            expected = np.vstack([expected, atoms[quantize._worst_served_atom(atoms, expected)]])
+    except InsufficientPoints:
+        expected = None
+    grown = quantize._augment_grid(atoms, centroids, extra)
+    if expected is None:
+        assert grown is None
+    else:
+        assert grown.tobytes() == expected.tobytes()
+
+
 def test_worst_served_atom_needs_an_uncovered_atom():
     atoms = np.array([[0.0], [1.0], [3.0]])
     assert quantize._worst_served_atom(atoms, np.array([[0.0], [1.0]])) == 2
@@ -432,7 +572,8 @@ def test_empirical_distortion_trace_is_running_mean():
 
 
 def test_clvq_finds_each_winner_through_the_distance_kernel(monkeypatch):
-    # After D² seeding's K-1 passes over its 512-draw pool, the only
+    # After D² seeding's K-1 passes, each from the newest seed to its
+    # 512-draw pool, the only
     # distances are the per-step winner searches: one kernel call of one
     # sample against all K centroids.
     shapes = []
@@ -445,7 +586,7 @@ def test_clvq_finds_each_winner_through_the_distance_kernel(monkeypatch):
     rng = np.random.default_rng(16)
     mu = DiscreteMeasure.uniform(rng.normal(size=(40, 3)))
     clvq(mu, 4, 25, 16)
-    assert shapes == [((512, 3), (1, 3))] * 3 + [((1, 3), (4, 3))] * 25
+    assert shapes == [((1, 3), (512, 3))] * 3 + [((1, 3), (4, 3))] * 25
 
 
 def test_clvq_winner_update_is_convex_combination():

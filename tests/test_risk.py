@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quantdistill import pipeline, verification
-from quantdistill.errors import DimensionError
+from quantdistill.errors import DimensionError, NoStepAccepted
 from quantdistill.measures import (
     DiscreteMeasure,
     QuantizationGrid,
@@ -250,14 +250,24 @@ def test_classification_accuracy_checks_its_labels(labels, message):
 def test_train_weighted_rejects_overflowing_trial_steps_without_warnings():
     # At a step of 1e308 every trial's logits overflow, even after the last
     # halving; the finiteness check rejects each one, with no RuntimeWarning,
-    # and training stops where it started.
+    # and a first epoch that accepts no step fails by name instead of
+    # returning the untrained start.
     rng = np.random.default_rng(45)
     points = np.vstack([rng.normal(size=(15, 3)) - 2.0, rng.normal(size=(15, 3)) + 2.0])
     data = WeightedDataset(points, np.repeat([0, 1], 15), np.ones(30))
     clf = TinyClassifier(3, 2)
-    start = clf.init_parameters(0)
-    theta = train_weighted(clf, data, start, learning_rate=1e308, epochs=3)
-    np.testing.assert_array_equal(theta, start)
+    with pytest.raises(NoStepAccepted, match=r"learning_rate 1e\+308"):
+        train_weighted(clf, data, clf.init_parameters(0), learning_rate=1e308, epochs=3)
+
+
+def test_pipeline_train_names_a_learning_rate_that_never_steps():
+    points, labels = pipeline.demo_dataset(0, 40, 2)
+    result = pipeline.distill(points, labels, 3, 0)
+    with pytest.raises(NoStepAccepted, match=r"learning_rate 1e\+308"):
+        pipeline.train(result, learning_rate=1e308, epochs=3)
+    # A rate that steps trains: the untrained loss is about 0.665.
+    _, report = pipeline.train(result, learning_rate=1.0, epochs=3)
+    assert report.final_loss < 0.01
 
 
 def test_train_weighted_resumes_from_the_given_theta():
