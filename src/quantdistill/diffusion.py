@@ -28,6 +28,8 @@ ORNSTEIN_UHLENBECK = "ornstein_uhlenbeck"
 MIN_EARLY_STOP_FRACTION = 1e-3
 STDERR_SIGMAS = 3.0
 LOG_OVERFLOW = 700.0
+# Reference points per product in the analytic score's pull; see analytic_score.
+_SCORE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,16 @@ def analytic_score(ref: ReferenceLaw, sde: SdeSpec, t: float, x) -> np.ndarray:
     resp /= 2.0 * var
     np.subtract(log_w[None, :], resp, out=resp)  # the mixture logits
     _softmax_rows(resp)  # the logits become the responsibilities in place
-    return (resp @ means - batch) / var
+    # OpenBLAS may add a product's terms over a long inner dimension in an
+    # order that depends on its thread count (500 reference points at
+    # d = 4096 gave other bytes at 1 and 2 threads); over at most
+    # _SCORE_BLOCK points it did not, on OpenBLAS 0.3.31 with Haswell
+    # kernels. So the pull is summed block by block, in a fixed order, and
+    # a reference of _SCORE_BLOCK points or fewer stays one product.
+    pull = resp[:, :_SCORE_BLOCK] @ means[:_SCORE_BLOCK]
+    for start in range(_SCORE_BLOCK, means.shape[0], _SCORE_BLOCK):
+        pull += resp[:, start:start + _SCORE_BLOCK] @ means[start:start + _SCORE_BLOCK]
+    return (pull - batch) / var
 
 
 def reverse_integrate(

@@ -42,7 +42,6 @@ from .measures import (
 )
 
 RESULT_WEIGHT_TOL = 1e-9
-LLOYD_DEFAULT_TOL = 1e-10
 LLOYD_DEFAULT_MAX_ITERATIONS = 500
 
 
@@ -322,8 +321,9 @@ class LloydFit:
     ``partition`` is the final grid's Voronoi partition, the pass that scored
     the last iteration. ``distortion_history[0]`` is the starting distortion
     and each later entry follows one update; the sequence never increases,
-    and its last entry is ``distortion``. ``empty_cells_resolved`` counts
-    reseeded centroids across all iterations.
+    and its last entry is ``distortion``. ``converged`` says the run reached
+    a fixed point: its last update reproduced every centroid bit for bit.
+    ``empty_cells_resolved`` counts reseeded centroids across all iterations.
     """
 
     grid: QuantizationGrid
@@ -338,42 +338,25 @@ class LloydFit:
         return self.partition.distortion
 
 
-def _worst_served_atom(atoms: np.ndarray, centroids: np.ndarray) -> int:
-    """Index of the atom farthest from every centroid, ties to the lowest index.
-
-    Raises
-    ------
-    InsufficientPoints
-        If every atom already sits on a centroid.
-    """
-    _, nearest_sq = _nearest(atoms, centroids)
-    worst = int(np.argmax(nearest_sq))
-    if nearest_sq[worst] <= 0.0:
-        raise InsufficientPoints(
-            "cannot place another centroid: every atom already sits on a centroid"
-        )
-    return worst
-
-
 def _augment_grid(
-    atoms: np.ndarray, centroids: np.ndarray, extra: int
+    atoms: np.ndarray, centroids: np.ndarray, count: int
 ) -> np.ndarray | None:
-    """Add ``extra`` centroids at the currently worst-served atoms.
+    """Append ``count`` centroids, each at the atom farthest from the grid so far.
 
-    One nearest pass, then each added centroid lowers the atoms' nearest
-    squared distances by its own row of distances. A minimum is exact in
-    any order, so each pick is the one a full pass against the grown grid
-    would make. Returns None when the atoms run out before ``extra`` are
-    placed.
+    Ties go to the lowest index. One nearest pass, then each pick but the
+    last lowers the nearest squared distances by its own row of distances;
+    a minimum is exact in any order, so each pick is the one a full pass
+    would make. Returns None when the atoms run out before ``count`` picks.
     """
     _, nearest_sq = _nearest(atoms, centroids)
     picks = []
-    for _ in range(extra):
+    for i in range(count):
         worst = int(np.argmax(nearest_sq))
         if nearest_sq[worst] <= 0.0:
             return None
         picks.append(worst)
-        np.minimum(nearest_sq, squared_distances(atoms[worst][None, :], atoms)[0], out=nearest_sq)
+        if i + 1 < count:
+            np.minimum(nearest_sq, squared_distances(atoms[worst][None, :], atoms)[0], out=nearest_sq)
     return np.vstack([centroids, atoms[picks]])
 
 
@@ -384,13 +367,14 @@ def lloyd(mu: DiscreteMeasure, init: QuantizationGrid) -> LloydFit:
     cell's weighted mean. A centroid whose cell holds no mass is reseeded at
     the atom currently farthest from every centroid, which strictly helps
     that atom and costs nothing elsewhere, so the distortion never increases
-    (checked every iteration). Stops when the largest centroid displacement
-    is at most ``LLOYD_DEFAULT_TOL`` or after ``LLOYD_DEFAULT_MAX_ITERATIONS``.
+    (checked every iteration). Each Voronoi pass is warm-started from the
+    previous assignment, which changes its cost, never its result.
 
-    Each Voronoi pass is warm-started from the previous assignment, which
-    changes its cost, never its result. An update that reproduces every
-    centroid bit for bit would make the next pass repeat the last one, so
-    the run appends the same distortion and stops without it.
+    The run converges when an update reproduces every centroid bit for bit:
+    the next pass would repeat the last one, so it appends the same
+    distortion and stops without it. Otherwise it stops unconverged after
+    ``LLOYD_DEFAULT_MAX_ITERATIONS`` updates. A cell that empties while every
+    atom sits on a centroid raises ``InsufficientPoints``.
     """
     _check_same_dim(mu.dim, init.dim)
     atoms, weights = mu.atoms, mu.weights
@@ -404,24 +388,25 @@ def lloyd(mu: DiscreteMeasure, init: QuantizationGrid) -> LloydFit:
         nonempty = part.cell_mass > 0
         new_x = np.where(nonempty[:, None], part.cell_centroid, x)
         for j in np.flatnonzero(~nonempty):
-            new_x[j] = atoms[_worst_served_atom(atoms, new_x)]
+            grown = _augment_grid(atoms, new_x, 1)
+            if grown is None:
+                raise InsufficientPoints(
+                    "cannot place another centroid: every atom already sits on a centroid"
+                )
+            new_x[j] = grown[-1]
             resolved += 1
-        if np.array_equal(new_x, x):
+        converged = np.array_equal(new_x, x)
+        x = new_x
+        if converged:
             # Equal values give equal distances, so the same partition.
-            x, displacement = new_x, 0.0
             history.append(history[-1])
             break
-        displacement = float(np.sqrt(((new_x - x) ** 2).sum(axis=1).max()))
-        x = new_x
         part = _partition(atoms, weights, x, part.assignment)
         if part.distortion > history[-1] + 1e-12 * (1.0 + history[-1]):
             raise QuantDistillError(
                 f"Lloyd distortion rose from {history[-1]!r} to {part.distortion!r}"
             )
         history.append(part.distortion)
-        if displacement <= LLOYD_DEFAULT_TOL:
-            break
-    converged = displacement <= LLOYD_DEFAULT_TOL
     return LloydFit(
         QuantizationGrid(x), part, len(history) - 1, converged, np.asarray(history), resolved
     )

@@ -247,9 +247,7 @@ def rate_scan(
     for li, k in enumerate(levels):
         candidates = [init_grid(mu, int(k), rng) for _ in range(n_restarts)]
         if best is not None:
-            grown = _augment_grid(
-                mu.atoms, best.grid.centroids, int(k) - best.grid.n_centroids
-            )
+            grown = _augment_grid(mu.atoms, best.grid.centroids, int(k) - best.grid.n_centroids)
             if grown is not None:
                 candidates.append(QuantizationGrid(grown))
         best = best_lloyd(mu, candidates)

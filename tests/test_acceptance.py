@@ -111,6 +111,40 @@ def test_pipeline_determinism_fails_for_a_subseed_keyed_on_the_worker(monkeypatc
     assert byte_record.passed is False, byte_record.line()
 
 
+# Appended to the stage runner: prints the thread count NumPy's bundled OpenBLAS
+# started with, or -1 where that library or its symbol is missing.
+_PRINT_OPENBLAS_THREADS = """
+import ctypes, glob, os, numpy
+threads = -1
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+for lib in glob.glob(os.path.join(libs, "*openblas*")):
+    try:
+        get_threads = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        continue
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    threads = get_threads()
+print(threads)
+"""
+
+
+def test_pipeline_determinism_serial_leg_runs_two_blas_threads():
+    # A leg bound to one CPU would start one OpenBLAS thread whatever it asks.
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two usable CPUs")
+    package_root = str(Path(verification.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=package_root)
+    runner = verification._STAGE_RUNNER + _PRINT_OPENBLAS_THREADS
+    done = subprocess.run(
+        [sys.executable, "-c", runner, "[]", "serial"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    threads = int(done.stdout)
+    if threads < 0:
+        pytest.skip("NumPy's OpenBLAS does not report its thread count here")
+    assert threads == 2
+
+
 def test_distortion_w2_equality_fails_for_a_distortion_off_by_one_percent(monkeypatch):
     exact = verification.quadratic_distortion
     monkeypatch.setattr(

@@ -94,11 +94,11 @@ def test_forward_marginal_rejects_bad_time():
 
 
 @pytest.mark.parametrize("kind", [BROWNIAN, ORNSTEIN_UHLENBECK])
-def test_score_matches_density_gradient(kind):
+def test_score_matches_density_gradient(kind, n_atoms=4):
     # Central finite differences of the log density are an independent route.
     rng = np.random.default_rng(31)
-    atoms = rng.uniform(-1.0, 1.0, size=(4, 2))
-    weights = rng.random(4)
+    atoms = rng.uniform(-1.0, 1.0, size=(n_atoms, 2))
+    weights = rng.random(n_atoms)
     ref = ReferenceLaw(DiscreteMeasure(atoms, weights / weights.sum()))
     sde = SdeSpec(kind, 1.5, 0.1, 10)
     t = 0.6
@@ -113,6 +113,11 @@ def test_score_matches_density_gradient(kind):
             - log_marginal_density(ref, sde, t, points - shift)
         ) / (2.0 * h)
         np.testing.assert_allclose(score[:, axis], fd, rtol=1e-5, atol=1e-6)
+
+
+def test_score_summed_over_several_blocks_matches_density_gradient():
+    # 300 reference points: two full blocks of the score's pull and a partial one.
+    test_score_matches_density_gradient(BROWNIAN, n_atoms=300)
 
 
 def test_score_single_atom_closed_form():

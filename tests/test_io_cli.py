@@ -167,6 +167,31 @@ def test_load_latents_csv_error_cases(tmp_path):
         load_latents(no_rows)
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 2), (3, 0)])
+def test_load_latents_rejects_a_header_that_declares_no_data(tmp_path, rows, cols):
+    path = tmp_path / "none.bin"
+    path.write_bytes(MAGIC + struct.pack("<IQQ", 1, rows, cols))
+    with pytest.raises(EmptyFile, match=rf"declares no data \({rows} rows, {cols} columns\)"):
+        load_latents(path)
+
+
+def test_load_latents_rejects_a_csv_file_of_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\n   \n\n")
+    with pytest.raises(EmptyFile, match="no content"):
+        load_latents(path)
+
+
+def test_read_rows_takes_a_step_1_slice_or_1_d_rows(tmp_path):
+    path = tmp_path / "cloud.bin"
+    save_latents(path, np.arange(12.0).reshape(6, 2))
+    with latentio.LatentReader(path) as reader:
+        with pytest.raises(ValueError, match="a row slice must have step 1"):
+            reader.read_rows(slice(0, 6, 2))
+        with pytest.raises(ValueError, match=r"rows must be 1-d, got shape \(2, 2\)"):
+            reader.read_rows([[0, 1], [2, 3]])
+
+
 def test_labels_round_trip_and_validation(tmp_path):
     path = tmp_path / "labels.txt"
     save_labels(path, np.array([0, 2, 1, 0]))
@@ -699,6 +724,49 @@ ARRAY_OBJECT_FAULTS = {
     "nan": lambda obj: _replace_payload(obj, np.nan),
     "inf": lambda obj: _replace_payload(obj, -np.inf),
 }
+
+
+# Faults in the nesting of a (version 2) distillation document, each made in
+# place, with the message that names it.
+NESTING_FAULTS = {
+    "classes_not_a_list": (lambda doc: doc.update(classes={"0": 1}), "classes is not a list"),
+    "class_not_an_object": (
+        lambda doc: doc["classes"].__setitem__(0, [1, 2]), "classes[0] is not an object"
+    ),
+    "base64_not_a_string": (
+        lambda doc: doc["classes"][0]["weights"].update(base64=12),
+        "classes[0].weights.base64 is not a string",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(NESTING_FAULTS))
+def test_distillation_document_with_a_misnested_field_names_it(tmp_path, fault):
+    edit, message = NESTING_FAULTS[fault]
+    path = tmp_path / "doc.json"
+    save_distillation(path, sample_distillation())
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(LatentFileError, match=re.escape(f"{path}: malformed")) as info:
+        load_distillation(path)
+    assert message in str(info.value)
+
+
+def test_float_field_holding_an_integer_beyond_the_float_range_is_named(tmp_path):
+    # Distillation documents hold no float field; a train report's rate does.
+    path = tmp_path / "report.json"
+    save_train_report(path, sample_train_report())
+    doc = json.loads(path.read_text())
+    doc["learning_rate"] = 10**400
+    path.write_text(json.dumps(doc))
+    with pytest.raises(LatentFileError, match="learning_rate is not a finite float"):
+        load_train_report(path)
+
+
+def test_build_dataset_rejects_an_unknown_weight_mode():
+    with pytest.raises(ValueError, match="weight_mode must be one of"):
+        pipeline.build_dataset(sample_distillation(), "cell_mass")
 
 
 @pytest.mark.parametrize("fault", ["missing_key", "ragged", "string", "nan", "wrong_scalar"])
@@ -1301,6 +1369,38 @@ def test_cli_bad_levels_exit_code(tmp_path, capsys):
     status = cli.main(["rate-scan", "--dim", "1", "--levels", "4,banana"])
     assert status == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--levels", "2,4", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["--levels", ","], "levels must name at least one quantization size"),
+    ],
+)
+def test_cli_rate_scan_rejects_a_negative_seed_and_no_levels(capsys, argv, message):
+    assert cli.main(["rate-scan", "--dim", "1", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [("hidden:x", "bad hidden width in 'hidden:x'"), ("mlp", "unknown model 'mlp'")],
+)
+def test_cli_train_rejects_an_unknown_model(tmp_path, capsys, model, message):
+    latents, labels_path = write_demo_files(tmp_path)
+    distilled, report = tmp_path / "d.json", tmp_path / "r.json"
+    assert cli.main([
+        "distill", "--latents", str(latents), "--labels", str(labels_path), "--ipc", "2",
+        "--out", str(distilled),
+    ]) == 0
+    capsys.readouterr()
+    status = cli.main(
+        ["train", "--distilled", str(distilled), "--model", model, "--out", str(report)]
+    )
+    assert status == 2
+    assert message in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_cli_unknown_subcommand_raises_system_exit():

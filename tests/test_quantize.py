@@ -395,15 +395,14 @@ def _reference_lloyd(mu, start):
                 raise InsufficientPoints("every atom already sits on a centroid")
             new_x[j] = atoms[np.argmax(nearest)]
             resolved += 1
-        displacement = float(np.sqrt(((new_x - x) ** 2).sum(axis=1).max()))
+        converged = np.array_equal(new_x, x)
         x = new_x
         part = partition(x)
         if part.distortion > history[-1] + 1e-12 * (1.0 + history[-1]):
             raise QuantDistillError("distortion rose")
         history.append(part.distortion)
-        if displacement <= quantize.LLOYD_DEFAULT_TOL:
+        if converged:
             break
-    converged = displacement <= quantize.LLOYD_DEFAULT_TOL
     return quantize.LloydFit(
         QuantizationGrid(x), part, len(history) - 1, converged, np.asarray(history), resolved
     )
@@ -412,9 +411,7 @@ def _reference_lloyd(mu, start):
 def _lloyd_outcome(run, mu, start):
     """Every ``LloydFit`` field as bytes, or the type of the error raised."""
     try:
-        # Rows near 1e154 overflow the displacement's sum on either side.
-        with np.errstate(over="ignore"):
-            fit = run(mu, start)
+        fit = run(mu, start)
     except (QuantDistillError, ValueError) as exc:
         return type(exc)
     fields = [fit.grid.centroids, fit.distortion_history, *dataclasses.astuple(fit.partition)]
@@ -539,11 +536,12 @@ def test_augment_grid_picks_what_a_full_pass_per_pick_picks(seed, extra):
         atoms = rng.normal(size=(60, 2))
     centroids = atoms[:3].copy()
     expected = centroids
-    try:
-        for _ in range(extra):
-            expected = np.vstack([expected, atoms[quantize._worst_served_atom(atoms, expected)]])
-    except InsufficientPoints:
-        expected = None
+    for _ in range(extra):
+        nearest = cdist(atoms, expected, "sqeuclidean").min(axis=1)
+        if nearest.max() <= 0.0:
+            expected = None
+            break
+        expected = np.vstack([expected, atoms[np.argmax(nearest)]])
     grown = quantize._augment_grid(atoms, centroids, extra)
     if expected is None:
         assert grown is None
@@ -553,9 +551,35 @@ def test_augment_grid_picks_what_a_full_pass_per_pick_picks(seed, extra):
 
 def test_worst_served_atom_needs_an_uncovered_atom():
     atoms = np.array([[0.0], [1.0], [3.0]])
-    assert quantize._worst_served_atom(atoms, np.array([[0.0], [1.0]])) == 2
-    with pytest.raises(InsufficientPoints):
-        quantize._worst_served_atom(atoms, atoms)
+    grown = quantize._augment_grid(atoms, atoms[:2], 1)
+    assert grown.tobytes() == atoms.tobytes()
+    assert quantize._augment_grid(atoms, atoms, 1) is None
+    # The third centroid's cell is empty, and no atom is left to reseed it at.
+    with pytest.raises(InsufficientPoints, match="every atom already sits on a centroid"):
+        lloyd(DiscreteMeasure.uniform(atoms), QuantizationGrid(np.vstack([atoms, [[9.0]]])))
+
+
+def test_lloyd_stops_only_on_an_update_that_reproduces_the_grid(monkeypatch):
+    # The first update moves the left centroid from 0 by only about 8e-13.
+    # That is still a move: the run ends at the second update, the first
+    # that reproduces the grid bit for bit.
+    mu = DiscreteMeasure(np.array([[0.0], [0.4], [1.0]]), np.array([0.5, 1e-12, 0.5 - 1e-12]))
+    start = QuantizationGrid(np.array([[0.0], [1.0]]))
+    fit = lloyd(mu, start)
+    assert 0.0 < fit.grid.centroids[0, 0] < 1e-12
+    assert fit.converged
+    assert fit.n_iterations == 2
+    assert fit.distortion_history[-1] == fit.distortion_history[-2]
+    assert fit.distortion_history[1] < fit.distortion_history[0]
+    part = voronoi_partition(mu, fit.grid)
+    assert part.cell_centroid.tobytes() == fit.grid.centroids.tobytes()
+    # Capped at one update, the same run stops short of its fixed point.
+    monkeypatch.setattr(quantize, "LLOYD_DEFAULT_MAX_ITERATIONS", 1)
+    capped = lloyd(mu, start)
+    assert not capped.converged
+    assert capped.n_iterations == 1
+    assert capped.grid.centroids.tobytes() == fit.grid.centroids.tobytes()
+    assert capped.distortion_history.tobytes() == fit.distortion_history[:2].tobytes()
 
 
 def test_empirical_distortion_trace_is_running_mean():

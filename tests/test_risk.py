@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quantdistill import pipeline, verification
+from quantdistill import pipeline, risk, verification
 from quantdistill.errors import DimensionError, NoStepAccepted
 from quantdistill.measures import (
     DiscreteMeasure,
@@ -268,6 +268,42 @@ def test_pipeline_train_names_a_learning_rate_that_never_steps():
     # A rate that steps trains: the untrained loss is about 0.665.
     _, report = pipeline.train(result, learning_rate=1.0, epochs=3)
     assert report.final_loss < 0.01
+
+
+def _count_loss_calls(monkeypatch, loss=loss_and_gradient):
+    """Route ``train_weighted``'s loss evaluations through ``loss``; returns their list."""
+    calls = []
+
+    def counted(classifier, data, theta):
+        calls.append(theta.copy())
+        return loss(classifier, data, theta)
+
+    monkeypatch.setattr(risk, "loss_and_gradient", counted)
+    return calls
+
+
+def test_train_weighted_stops_at_a_zero_gradient(monkeypatch):
+    # Two coincident points labelled 0 and 1 pull equally both ways from
+    # theta = 0, so the gradient is exactly 0 and no trial step is made.
+    data = WeightedDataset(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([0, 1]), np.ones(2))
+    clf = TinyClassifier(2, 2)
+    calls = _count_loss_calls(monkeypatch)
+    theta = train_weighted(clf, data, np.zeros(clf.n_parameters), epochs=5)
+    assert len(calls) == 1
+    assert theta.tobytes() == np.zeros(clf.n_parameters).tobytes()
+
+
+def test_train_weighted_stops_quietly_when_a_later_epoch_accepts_no_step(monkeypatch):
+    # A scripted loss: the first trial step lowers it from 1 to 0.5, and every
+    # later trial raises it to 2, so the second epoch rejects all halvings.
+    losses = iter([1.0, 0.5])
+    calls = _count_loss_calls(
+        monkeypatch, lambda classifier, data, theta: (next(losses, 2.0), np.ones_like(theta))
+    )
+    data = WeightedDataset(np.array([[-1.0], [1.0]]), np.array([0, 1]), np.ones(2))
+    theta = train_weighted(TinyClassifier(1, 2), data, np.zeros(4), epochs=5)
+    assert theta.tolist() == [-1.0] * 4
+    assert len(calls) == 2 + risk.MAX_BACKTRACKS
 
 
 def test_train_weighted_resumes_from_the_given_theta():

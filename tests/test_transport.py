@@ -194,6 +194,14 @@ def test_compare_weighting_requires_enough_atoms():
         compare_weighting(mu, grid)
 
 
+def test_compare_weighting_reports_no_reduction_when_uniform_weights_are_exact():
+    # On a grid at the atoms of a uniform measure both distances are 0.
+    atoms = np.array([[0.0, 3.0], [1.0, -2.0], [5.0, 0.5]])
+    comparison = compare_weighting(DiscreteMeasure.uniform(atoms), QuantizationGrid(atoms))
+    assert comparison.uniform_w2 == 0.0
+    assert comparison.reduction_fraction == 0.0
+
+
 def test_rate_scan_errors_decrease():
     scan = rate_scan(UniformCubeSampler(1), [2, 4, 8], 600, 26, n_restarts=2)
     assert scan.errors.shape == (3,)
@@ -209,3 +217,12 @@ def test_rate_scan_validates_levels():
         rate_scan(sampler, [4, 4], 100, 0)
     with pytest.raises(ValueError):
         rate_scan(sampler, [4, 8], 6, 0)
+
+
+def test_rate_scan_rejects_no_restarts_and_a_zero_error():
+    with pytest.raises(ValueError, match="n_restarts must be positive"):
+        rate_scan(UniformCubeSampler(1), [2, 4], 100, 0, n_restarts=0)
+    # Draws from two points: two centroids cover the cloud exactly.
+    two_points = DiscreteMeasure.uniform(np.array([[0.0], [1.0]]))
+    with pytest.raises(ValueError, match="zero quantization error"):
+        rate_scan(two_points, [1, 2], 50, 0)
