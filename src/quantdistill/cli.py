@@ -1,9 +1,8 @@
 """Command line entry points for distillation, transport, and verification.
 
-Every subcommand resolves its seed from ``--seed`` or, when omitted, the
-``QUANTDISTILL_SEED`` environment variable (default 0), and writes outputs
-through the deterministic serializers, so a repeated invocation reproduces
-its files byte for byte.
+Every seeded subcommand takes its seed from ``--seed`` alone (default 0,
+negative rejected), and writes outputs through the deterministic
+serializers, so a repeated command line reproduces its files byte for byte.
 
 Exit status: 0 on success, 1 when ``verify`` finds a failing check, 2 on
 usage errors or unreadable input.
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 
 import numpy as np
@@ -26,25 +24,6 @@ from .pipeline import WEIGHT_MODES
 from .quantize import UniformCubeSampler
 from .transport import rate_scan, w2
 
-SEED_ENV = "QUANTDISTILL_SEED"
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is None:
-        raw = os.environ.get(SEED_ENV)
-        if raw is None:
-            return 0
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{SEED_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if value < 0:
-        raise ValueError(f"seed must be nonnegative, got {value}")
-    return value
-
-
 @contextlib.contextmanager
 def _open_cloud(latents_path, labels_path):
     """A latent file open for row reads (``latentio.open_latents``) and its labels."""
@@ -53,13 +32,12 @@ def _open_cloud(latents_path, labels_path):
 
 
 def cmd_distill(args) -> int:
-    seed = _resolve_seed(args.seed)
     with _open_cloud(args.latents, args.labels) as (points, labels):
         result = pipeline.distill(
             points,
             labels,
             args.ipc,
-            seed,
+            args.seed,
             batch_size=args.batch_size,
             n_iterations=args.iterations,
         )
@@ -72,7 +50,6 @@ def cmd_distill(args) -> int:
 
 
 def cmd_diffuse(args) -> int:
-    seed = _resolve_seed(args.seed)
     result = latentio.load_distillation(args.distilled)
     with _open_cloud(args.latents, args.labels) as (points, labels):
         if points.shape[1] != result.dim:
@@ -85,7 +62,7 @@ def cmd_diffuse(args) -> int:
                 f"{args.labels}: reference data has no points for class {labels.max() + 1}"
             )
         sde = SdeSpec(args.sde, args.horizon, args.delta, args.steps)
-        transported = pipeline.diffuse(result, points, labels, sde, args.mc, seed)
+        transported = pipeline.diffuse(result, points, labels, sde, args.mc, args.seed)
     latentio.save_transported(args.out, transported)
     for cls in transported.classes:
         report = cls.report
@@ -99,7 +76,6 @@ def cmd_diffuse(args) -> int:
 
 
 def cmd_train(args) -> int:
-    seed = _resolve_seed(args.seed)
     result = latentio.load_distillation(args.distilled)
     if args.eval_latents is not None and args.eval_labels is None:
         raise ValueError("--eval-labels is required with --eval-latents")
@@ -128,7 +104,7 @@ def cmd_train(args) -> int:
             model=args.model,
             learning_rate=args.lr,
             epochs=args.epochs,
-            seed=seed,
+            seed=args.seed,
             eval_points=eval_points,
             eval_labels=eval_labels,
         )
@@ -146,6 +122,11 @@ def cmd_train(args) -> int:
 def cmd_w2(args) -> int:
     left = DiscreteMeasure.uniform(latentio.load_latents(args.left))
     right = DiscreteMeasure.uniform(latentio.load_latents(args.right))
+    if left.dim != right.dim:
+        raise DimensionError(
+            f"points in {args.left} have dimension {left.dim}, "
+            f"but {args.right} has dimension {right.dim}"
+        )
     print(w2(left, right))
     return 0
 
@@ -161,13 +142,12 @@ def _parse_levels(text: str) -> list[int]:
 
 
 def cmd_rate_scan(args) -> int:
-    seed = _resolve_seed(args.seed)
     levels = _parse_levels(args.levels)
     scan = rate_scan(
         UniformCubeSampler(args.dim),
         levels,
         args.samples,
-        np.random.SeedSequence(seed),
+        np.random.SeedSequence(args.seed),
         n_restarts=args.restarts,
     )
     for k, err in zip(scan.levels, scan.errors):
@@ -176,7 +156,7 @@ def cmd_rate_scan(args) -> int:
     print(f"fitted slope {scan.fitted_slope:.6g} (expected {expected:.6g})")
     if args.out is not None:
         doc = {
-            "seed": seed,
+            "seed": args.seed,
             "dim": args.dim,
             "samples": args.samples,
             "restarts": args.restarts,
@@ -190,8 +170,7 @@ def cmd_rate_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args.seed)
-    records = verification.run_checks(args.suite, seed)
+    records = verification.run_checks(args.suite, args.seed)
     for record in records:
         print(record.line())
     n_passed = sum(record.passed for record in records)
@@ -199,7 +178,7 @@ def cmd_verify(args) -> int:
     if args.out is not None:
         doc = {
             "suite": args.suite,
-            "seed": seed,
+            "seed": args.seed,
             "n_checks": len(records),
             "n_passed": int(n_passed),
             "checks": records,
@@ -212,8 +191,8 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
         type=int,
-        default=None,
-        help=f"master seed (default: ${SEED_ENV} or 0)",
+        default=0,
+        help="master seed, nonnegative (default: 0)",
     )
 
 
@@ -332,6 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except (QuantDistillError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

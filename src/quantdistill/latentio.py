@@ -200,16 +200,15 @@ class LatentReader:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def read_rows(self, rows, out=None) -> np.ndarray:
-        """Rows ``rows`` of the file, as an ``(m, columns)`` float64 array.
+    def read_rows(self, rows) -> np.ndarray:
+        """Rows ``rows`` of the file, as a new ``(m, columns)`` float64 array.
 
-        ``rows`` is a slice of step 1 or a sequence of 0-based row numbers
-        in any order. The rows are read into the first m rows of ``out``, a
-        C-contiguous float64 array with the file's column count, or into a
-        new array when ``out`` is None; the filled rows are returned.
+        ``rows`` is a 1-d sequence of 0-based row numbers in any order.
 
         Raises
         ------
+        IndexError
+            If a row number lies outside the file.
         TruncatedFile
             If the file ends before a row, for instance cut short since
             it was opened.
@@ -218,33 +217,16 @@ class LatentReader:
             that holds a NaN or an infinity.
         """
         n, d = self.shape
-        if isinstance(rows, slice):
-            rows = range(*rows.indices(n))
-            if rows.step != 1:
-                raise ValueError("a row slice must have step 1")
-            runs = [(0, len(rows))]
-        else:
-            rows = np.asarray(rows, dtype=np.intp)
-            if rows.ndim != 1:
-                raise ValueError(f"rows must be 1-d, got shape {rows.shape}")
-            if rows.size and (rows.min() < 0 or rows.max() >= n):
-                raise IndexError(f"{self.path}: rows must lie in 0..{n - 1}")
-            edges = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), rows.size]
-            runs = zip(edges[:-1], edges[1:])
-        m = len(rows)
-        if out is None:
-            out = np.empty((m, d))
-        elif not (
-            out.dtype == np.float64 and out.flags.c_contiguous
-            and out.ndim == 2 and out.shape[1] == d and out.shape[0] >= m
-        ):
-            raise ValueError(
-                f"out must be a C-contiguous float64 array of at least {m} rows and {d} columns"
-            )
-        block = out[:m]
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1:
+            raise ValueError(f"rows must be 1-d, got shape {rows.shape}")
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
+            raise IndexError(f"{self.path}: rows must lie in 0..{n - 1}")
+        block = np.empty((rows.size, d))
         data = memoryview(block).cast("B")
         row_bytes = d * 8
-        for i, j in runs:
+        edges = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), rows.size]
+        for i, j in zip(edges[:-1], edges[1:]):
             if i < j:
                 self._read_into(data[i * row_bytes : j * row_bytes], int(rows[i]))
         if sys.byteorder == "big":
@@ -305,7 +287,7 @@ def load_latents(path) -> np.ndarray:
     if path.suffix == ".csv":
         return _load_latents_csv(path)
     with LatentReader(path) as reader:
-        return reader.read_rows(slice(None))
+        return reader.read_rows(np.arange(reader.shape[0]))
 
 
 def save_labels(path, labels) -> None:

@@ -24,7 +24,7 @@ import signal
 import numpy as np
 
 from .diffusion import ReferenceLaw, SdeSpec, transport_quantization
-from .errors import DimensionError, EmptyCluster, InsufficientPoints, QuantDistillError
+from .errors import DimensionError, EmptyCluster, QuantDistillError
 from .latentio import (
     ClassQuantization,
     ClassTransport,
@@ -98,7 +98,8 @@ def distill(
         failing class, whatever its kind, since a class's rows are read
         and checked only when that class is quantized.
     QuantDistillError
-        If a worker process dies, for instance killed by a signal.
+        If a class's squared distances overflow float64 in seeding, naming
+        the class, or if a worker process dies, for instance killed by a signal.
     """
     if not isinstance(points, LatentReader):
         points = np.ascontiguousarray(points, dtype=np.float64)
@@ -135,8 +136,8 @@ def _quantize_class(
         result = minibatch_kmeans(
             data, per_class, batch_size, n_iterations, class_subseed(seed, label)
         )
-    except InsufficientPoints as exc:
-        raise InsufficientPoints(f"class {label}: {exc}") from None
+    except QuantDistillError as exc:  # InsufficientPoints, or an overflow in seeding
+        raise type(exc)(f"class {label}: {exc}") from None
     never_won = np.flatnonzero(result.counts == 0)
     if never_won.size:
         raise EmptyCluster(
@@ -276,20 +277,18 @@ def _send_share(task, items, state, write_fd: int) -> None:
         os._exit(code)
 
 
-def _gather(points, rows, out=None) -> np.ndarray:
-    """Rows ``rows`` (a slice, or row numbers) of a cloud, checked finite.
+def _gather(points, rows) -> np.ndarray:
+    """Rows ``rows`` (1-d row numbers) of a cloud, as a new array checked finite.
 
-    A ``LatentReader`` reads them into ``out`` (a new array when None) and
-    names its file and the row of a non-finite entry. An array is indexed,
-    a slice giving a view, and a non-finite row raises ``ValueError``.
+    A ``LatentReader`` reads them and names its file and the row of a
+    non-finite entry; from an array a non-finite row raises ``ValueError``.
     """
     if isinstance(points, LatentReader):
-        return points.read_rows(rows, out)
+        return points.read_rows(rows)
     block = points[rows]
     bad = _first_nonfinite_row(block)
     if bad is not None:
-        row = np.arange(points.shape[0])[rows][bad]
-        raise ValueError(f"points row {row} (0-based) holds NaN or infinite entries")
+        raise ValueError(f"points row {rows[bad]} (0-based) holds NaN or infinite entries")
     return block
 
 
@@ -481,18 +480,16 @@ def _eval_accuracy(classifier: TinyClassifier, theta, points, labels) -> float:
 
     ``train`` scores both its accuracies here, on the distilled points and on
     the eval cloud. Row blocks of about ``_EVAL_BLOCK_BYTES`` are gathered in
-    order, from a reader into one reused buffer, and scored by one forward
-    pass each; a block's rows are checked finite as they are gathered and not
-    again. The result is ``correct / n``, the float ``np.mean(predicted ==
-    labels)`` gives.
+    order and scored by one forward pass each; a block's rows are checked
+    finite as they are gathered and not again. The result is ``correct /
+    n``, the float ``np.mean(predicted == labels)`` gives.
     """
     n, d = points.shape
     step = max(1, _EVAL_BLOCK_BYTES // (8 * d))
-    buffer = np.empty((min(n, step), d)) if isinstance(points, LatentReader) else None
     correct = 0
     for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
-        logits = classifier._forward(_gather(points, rows, buffer), theta)[1]
+        rows = np.arange(start, min(start + step, n))
+        logits = classifier._forward(_gather(points, rows), theta)[1]
         correct += int(np.count_nonzero(np.argmax(logits, axis=1) == labels[rows]))
     return correct / n
 

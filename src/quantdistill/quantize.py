@@ -172,6 +172,9 @@ def init_grid(mu: DiscreteMeasure, n_centroids: int, seed) -> QuantizationGrid:
     ------
     InsufficientPoints
         If the measure holds fewer than K distinct points.
+    QuantDistillError
+        If squared distances between atoms overflow float64, so that no
+        later pick could be weighted by them.
     """
     if n_centroids < 1:
         raise ValueError("n_centroids must be positive")
@@ -182,6 +185,8 @@ def init_grid(mu: DiscreteMeasure, n_centroids: int, seed) -> QuantizationGrid:
     scores = weights
     for k in range(n_centroids):
         cdf = np.cumsum(scores)
+        if not np.isfinite(cdf[-1]):
+            raise QuantDistillError("squared distances between points overflow float64")
         if cdf[-1] <= 0:
             raise InsufficientPoints(
                 f"only {k} distinct points available for {n_centroids} centroids"

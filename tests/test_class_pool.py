@@ -400,19 +400,15 @@ def test_class_pool_reader_reads_a_scattered_class_one_preadv_per_run(tmp_path, 
         got = reader.read_rows(rows)
         assert len(calls) == runs
         np.testing.assert_array_equal(got, points[rows])
-        # Any order, a caller's buffer, and a slice as one run.
-        out = np.full((len(rows) + 3, points.shape[1]), -1.0)
-        view = reader.read_rows(rows[::-1], out)
-        assert view.base is out
-        np.testing.assert_array_equal(view, points[rows[::-1]])
-        np.testing.assert_array_equal(out[len(rows):], -1.0)
+        # Any order, each call a new array, and consecutive rows as one run.
+        backwards = reader.read_rows(rows[::-1])
+        assert backwards.flags.owndata
+        np.testing.assert_array_equal(backwards, points[rows[::-1]])
         calls.clear()
-        np.testing.assert_array_equal(reader.read_rows(slice(7, 19)), points[7:19])
+        np.testing.assert_array_equal(reader.read_rows(np.arange(7, 19)), points[7:19])
         assert len(calls) == 1
         with pytest.raises(IndexError):
             reader.read_rows([0, points.shape[0]])
-        with pytest.raises(ValueError, match="out must be"):
-            reader.read_rows(rows, np.empty((len(rows) - 1, points.shape[1])))
     # Where os.preadv is missing (Windows), each run is a seek and a read.
     monkeypatch.delattr(os, "preadv")
     with LatentReader(latents) as reader:
@@ -569,7 +565,7 @@ def test_class_pool_reader_truncated_or_overlong_payload(tmp_path, capsys):
     latents.write_bytes(whole)
     with LatentReader(latents) as reader:
         os.truncate(latents, len(whole) - 3 * 8 * points.shape[1])
-        np.testing.assert_array_equal(reader.read_rows(slice(0, 10)), points[:10])
+        np.testing.assert_array_equal(reader.read_rows(np.arange(10)), points[:10])
         last = points.shape[0] - 1
         ended = rf"{latents}: payload ended before row {last} \(0-based\) of {last + 1}$"
         with pytest.raises(TruncatedFile, match=ended):
@@ -598,9 +594,9 @@ def test_class_pool_reader_eval_accuracy_by_blocks(tmp_path, monkeypatch, n):
     monkeypatch.setattr(pipeline, "_EVAL_BLOCK_BYTES", BLOCK * 8 * points.shape[1])
     reads, read_rows = [], LatentReader.read_rows
 
-    def spy(self, rows, out=None):
-        reads.append((rows, out))
-        return read_rows(self, rows, out)
+    def spy(self, rows):
+        reads.append(rows)
+        return read_rows(self, rows)
 
     monkeypatch.setattr(LatentReader, "read_rows", spy)
     classifier, from_array = train(result, epochs=20, eval_points=points, eval_labels=labels)
@@ -608,11 +604,10 @@ def test_class_pool_reader_eval_accuracy_by_blocks(tmp_path, monkeypatch, n):
         _, from_reader = train(result, epochs=20, eval_points=reader, eval_labels=labels)
     expected = classification_accuracy(classifier, loaded, labels, from_array.theta)
     assert from_reader.eval_accuracy == from_array.eval_accuracy == expected < 1.0
-    # One read per block, in order, into one reused buffer of BLOCK rows.
-    assert [(rows.start, rows.stop) for rows, _ in reads] == [
-        (start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)
+    # One read per block of BLOCK consecutive rows, in order.
+    assert [rows.tolist() for rows in reads] == [
+        list(range(start, min(start + BLOCK, n))) for start in range(0, n, BLOCK)
     ]
-    assert all(out is reads[0][1] and out.shape[0] == BLOCK for _, out in reads)
     paths = tmp_path / "array.json", tmp_path / "reader.json"
     save_train_report(paths[0], from_array)
     save_train_report(paths[1], from_reader)

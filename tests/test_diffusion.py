@@ -93,6 +93,21 @@ def test_forward_marginal_rejects_bad_time():
         forward_marginal(ref, sde, 1.5, 10, 0)
 
 
+def test_forward_marginal_needs_a_point():
+    sde = SdeSpec(BROWNIAN, 1.0, 0.1, 10)
+    with pytest.raises(ValueError, match="n must be positive"):
+        forward_marginal(two_atom_law(), sde, 0.5, 0, 0)
+
+
+@pytest.mark.parametrize("radius", [-1.0, np.inf])
+def test_stability_bounds_reject_a_negative_or_infinite_radius(radius):
+    sde = SdeSpec(BROWNIAN, 1.0, 0.1, 10)
+    with pytest.raises(InvalidSpec, match="radius must be nonnegative and finite"):
+        score_monotonicity_bound(sde, radius, 0.5)
+    with pytest.raises(InvalidSpec, match="radius must be nonnegative and finite"):
+        log_explicit_constant(sde, radius)
+
+
 @pytest.mark.parametrize("kind", [BROWNIAN, ORNSTEIN_UHLENBECK])
 def test_score_matches_density_gradient(kind, n_atoms=4):
     # Central finite differences of the log density are an independent route.

@@ -182,12 +182,12 @@ def test_load_latents_rejects_a_csv_file_of_blank_lines(tmp_path):
         load_latents(path)
 
 
-def test_read_rows_takes_a_step_1_slice_or_1_d_rows(tmp_path):
+def test_read_rows_takes_1_d_row_numbers_only(tmp_path):
     path = tmp_path / "cloud.bin"
     save_latents(path, np.arange(12.0).reshape(6, 2))
     with latentio.LatentReader(path) as reader:
-        with pytest.raises(ValueError, match="a row slice must have step 1"):
-            reader.read_rows(slice(0, 6, 2))
+        with pytest.raises(TypeError):
+            reader.read_rows(slice(0, 6))
         with pytest.raises(ValueError, match=r"rows must be 1-d, got shape \(2, 2\)"):
             reader.read_rows([[0, 1], [2, 3]])
 
@@ -422,6 +422,18 @@ def test_cli_distill_names_the_nonfinite_row(tmp_path, capsys):
     )
     assert status == 2
     assert "row 7 (0-based) holds NaN or infinite" in capsys.readouterr().err
+
+
+def test_cli_distill_names_the_class_whose_squared_distances_overflow(tmp_path, capsys):
+    latents, labels_path, out = tmp_path / "big.bin", tmp_path / "labels.txt", tmp_path / "d.json"
+    save_latents(latents, np.random.default_rng(0).standard_normal((200, 2)) * 1e154)
+    save_labels(labels_path, np.repeat([0, 1], 100))
+    argv = ["distill", "--latents", str(latents), "--labels", str(labels_path), "--ipc", "4"]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: class 0: squared distances between points overflow float64\n"
+    )
+    assert not out.exists()
 
 
 def _write_half_then_fail(path, data):
@@ -767,6 +779,11 @@ def test_float_field_holding_an_integer_beyond_the_float_range_is_named(tmp_path
 def test_build_dataset_rejects_an_unknown_weight_mode():
     with pytest.raises(ValueError, match="weight_mode must be one of"):
         pipeline.build_dataset(sample_distillation(), "cell_mass")
+
+
+def test_demo_dataset_needs_two_classes():
+    with pytest.raises(ValueError, match="need at least 2 classes"):
+        pipeline.demo_dataset(0, n_classes=1)
 
 
 @pytest.mark.parametrize("fault", ["missing_key", "ragged", "string", "nan", "wrong_scalar"])
@@ -1322,6 +1339,17 @@ def test_cli_w2_prints_distance(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "5.0"
 
 
+def test_cli_w2_names_both_files_on_a_dimension_mismatch(tmp_path, capsys):
+    left = tmp_path / "left.bin"
+    right = tmp_path / "right.csv"
+    save_latents(left, np.zeros((2, 3)))
+    save_latents(right, np.ones((2, 4)))
+    assert cli.main(["w2", "--left", str(left), "--right", str(right)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: points in {left} have dimension 3, but {right} has dimension 4\n"
+    )
+
+
 def test_cli_rate_scan_writes_document(tmp_path, capsys):
     out = tmp_path / "scan.json"
     status = cli.main(
@@ -1408,7 +1436,7 @@ def test_cli_unknown_subcommand_raises_system_exit():
         cli.main(["transmogrify"])
 
 
-def test_cli_seed_env_variable_is_default(tmp_path, monkeypatch):
+def test_cli_seed_env_variable_is_ignored(tmp_path, monkeypatch):
     latents, labels_path = write_demo_files(tmp_path)
 
     def distill_args(out):
@@ -1421,13 +1449,28 @@ def test_cli_seed_env_variable_is_default(tmp_path, monkeypatch):
         ]
 
     explicit = tmp_path / "explicit.json"
-    via_env = tmp_path / "env.json"
-    assert cli.main(distill_args(explicit) + ["--seed", "9"]) == 0
-    monkeypatch.setenv("QUANTDISTILL_SEED", "9")
-    assert cli.main(distill_args(via_env)) == 0
-    assert explicit.read_bytes() == via_env.read_bytes()
-    monkeypatch.setenv("QUANTDISTILL_SEED", "not-a-number")
-    assert cli.main(distill_args(via_env)) == 2
+    default = tmp_path / "default.json"
+    assert cli.main(distill_args(explicit) + ["--seed", "0"]) == 0
+    for value in ("9", "not-a-number"):
+        monkeypatch.setenv("QUANTDISTILL_SEED", value)
+        assert cli.main(distill_args(default)) == 0
+        assert explicit.read_bytes() == default.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distill", "--latents", "x.bin", "--labels", "y.txt", "--ipc", "2"],
+        ["diffuse", "--distilled", "d.json", "--latents", "x.bin", "--labels", "y.txt"],
+        ["train", "--distilled", "d.json"],
+        ["verify"],
+    ],
+)
+def test_cli_every_seeded_subcommand_rejects_a_negative_seed(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
 
 
 def test_cli_verify_reports_failure_exit_code(tmp_path, monkeypatch, capsys):

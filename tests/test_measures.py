@@ -356,6 +356,11 @@ def test_measure_rejects_bad_atoms():
         DiscreteMeasure.uniform(np.empty((0, 2)))
 
 
+def test_as_point_rejects_a_2_d_value():
+    with pytest.raises(ValueError, match=r"^anchor must be a 1-d array, got shape \(1, 2\)$"):
+        measures.as_point([[0.0, 1.0]], "anchor")
+
+
 def test_uniform_measure_checks_its_atoms_once(monkeypatch):
     checked = []
 

@@ -116,6 +116,24 @@ def test_init_grid_insufficient_distinct_points():
         init_grid(mu, 2, 0)
 
 
+def test_init_grid_needs_a_centroid():
+    mu = DiscreteMeasure.uniform(np.array([[0.0], [1.0]]))
+    with pytest.raises(ValueError, match="n_centroids must be positive"):
+        init_grid(mu, 0, 0)
+
+
+def test_init_grid_rejects_squared_distances_that_overflow():
+    # After the first pick the scores' total is infinite, and the lookup would
+    # land on the last atom at every later pick.
+    points = np.random.default_rng(0).standard_normal((200, 2)) * 1e154
+    mu = DiscreteMeasure.uniform(points)
+    with pytest.raises(QuantDistillError, match="^squared distances between points overflow float64$"):
+        init_grid(mu, 4, 0)
+    # One centroid needs no distance, and a cloud 1e10 times smaller still seeds.
+    assert init_grid(mu, 1, 0).n_centroids == 1
+    assert init_grid(DiscreteMeasure.uniform(points / 1e10), 4, 0).n_centroids == 4
+
+
 def test_minibatch_kmeans_single_centroid_at_batch_size_one_is_exact_mean():
     # With K=1 every sample wins and 1/v steps reproduce the running mean.
     data = DiscreteMeasure.uniform(np.random.default_rng(7).random((300, 2)))
@@ -159,6 +177,17 @@ def test_clvq_rejects_bad_arguments():
     sampler = UniformCubeSampler(1)
     with pytest.raises(ValueError):
         clvq(sampler, 2, 0, 0)
+
+
+def test_minibatch_kmeans_rejects_an_empty_batch():
+    data = DiscreteMeasure.uniform(np.arange(6.0)[:, None])
+    with pytest.raises(ValueError, match="batch_size and n_iterations must be positive"):
+        minibatch_kmeans(data, 2, 0, 10, 0)
+
+
+def test_uniform_cube_sampler_draws_at_least_one_point():
+    with pytest.raises(ValueError, match="n must be positive"):
+        UniformCubeSampler(2).draw(np.random.default_rng(0), 0)
 
 
 def test_minibatch_kmeans_matches_online_run():
@@ -593,6 +622,22 @@ def test_empirical_distortion_trace_is_running_mean():
     np.testing.assert_allclose(
         empirical_distortion_trace(result), [4.0, 3.0, 2.0, 2.0]
     )
+
+
+@pytest.mark.parametrize(
+    "counts, weights, trace, message",
+    [
+        ([1.5, 2.5], [0.5, 0.5], [1.0], "counts must be nonnegative integers"),
+        ([1.0, 3.0], [1.5, -0.5], [1.0], "weights must be nonnegative"),
+        ([1.0, 3.0], [0.5, 0.6], [1.0], "weights must sum to 1"),
+        ([1.0, 3.0], [0.25, 0.75], [[1.0]], "winner_sq_dists must be a 1-d nonnegative array"),
+    ],
+    ids=["fractional-counts", "negative-weight", "off-simplex", "2-d-trace"],
+)
+def test_weighted_quantization_rejects_what_no_run_returns(counts, weights, trace, message):
+    grid = QuantizationGrid(np.array([[0.0], [1.0]]))
+    with pytest.raises(ValueError, match=message):
+        WeightedQuantization(grid, np.array(counts), np.array(weights), np.array(trace))
 
 
 def test_clvq_finds_each_winner_through_the_distance_kernel(monkeypatch):

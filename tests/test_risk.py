@@ -106,6 +106,56 @@ def test_weighted_dataset_validation():
         WeightedDataset(points, np.array([0.0, 1.0, 0.0]), np.ones(3))
     with pytest.raises(ValueError):
         WeightedDataset(points, np.array([0, 1, 0]), np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="weights must be one finite value per point"):
+        WeightedDataset(points, np.array([0, 1, 0]), np.array([1.0, np.inf, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(slopes=[[1.0, 0.0]], offsets=[0.0, 1.0]), "offsets must hold one value per slope"),
+        (dict(slopes=[[1.0, 0.0]], offsets=[np.nan]), "offsets must be finite"),
+    ],
+)
+def test_max_affine_function_rejects_bad_offsets(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        LipschitzFunction.max_affine(**kwargs)
+
+
+def test_lipschitz_function_rejects_a_nonfinite_constant_and_an_unknown_kind():
+    with pytest.raises(ValueError, match="value must be finite"):
+        LipschitzFunction.constant(np.inf)
+    with pytest.raises(ValueError, match="unknown function kind 'parabola'"):
+        LipschitzFunction("parabola")
+
+
+def test_weighted_expectation_needs_one_value_per_atom():
+    nu = DiscreteMeasure.uniform(np.array([[0.0], [1.0]]))
+    with pytest.raises(ValueError, match=r"f must map \(n, d\) points to \(n,\) values"):
+        weighted_expectation(lambda x: x, nu)
+
+
+@pytest.mark.parametrize(
+    "n_inputs, hidden, message",
+    [(0, None, "n_inputs must be positive"), (2, 0, "hidden width must be positive")],
+)
+def test_classifier_rejects_no_inputs_and_an_empty_hidden_layer(n_inputs, hidden, message):
+    with pytest.raises(ValueError, match=message):
+        TinyClassifier(n_inputs, 2, hidden=hidden)
+
+
+def test_loss_rejects_a_dataset_with_more_classes_than_the_classifier():
+    data = WeightedDataset(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 2]), np.ones(3))
+    clf = TinyClassifier(1, 2)
+    with pytest.raises(ValueError, match="dataset has more classes than the classifier"):
+        loss_and_gradient(clf, data, clf.init_parameters(0))
+
+
+def test_train_weighted_needs_an_epoch():
+    data = WeightedDataset(np.array([[-1.0], [1.0]]), np.array([0, 1]), np.ones(2))
+    clf = TinyClassifier(1, 2)
+    with pytest.raises(ValueError, match="epochs must be positive"):
+        train_weighted(clf, data, clf.init_parameters(0), epochs=0)
 
 
 def test_classifier_parameter_counts():
